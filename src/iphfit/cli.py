@@ -27,8 +27,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .emfit import FitConfig, fit_erlang_rate, fit_transformed
+from .emfit import FitConfig, em_step, fit_erlang_rate, fit_transformed
 from .errors import (
     ConfigError,
     DataFileError,
@@ -42,13 +43,15 @@ from .families import (
     ParetoExp,
     Power,
     ShiftedPower,
+    tph_new,
     tph_pdf,
     tph_quantile,
     tph_sample,
     tph_sf,
 )
+from .iph import inverse_linear_rate, iph_new, iph_sf, path_new, product_integral
 from .modelio import load_model, model_mean, save_model
-from .phcore import ph_pdf
+from .phcore import erlang_rep, ph_pdf, ph_sample
 
 __all__ = ["RunConfig", "ingest_csv", "auto_shift", "run_fit", "eval_cmd", "main"]
 
@@ -76,7 +79,7 @@ class RunConfig:
     seed: int = 0
     max_iters: int = 2000
     erlang_baseline: int | None = None
-    deterministic: bool = False
+    deterministic: bool = False  # accepted for compatibility; fits are always reproducible
     grid_points: int = 512
 
     def __post_init__(self):
@@ -162,16 +165,11 @@ def ingest_csv(path, column: int = 0, header_rows: int = 0) -> np.ndarray:
 
 def auto_shift(data) -> float:
     """Largest one-decimal value strictly below the minimum log-datum."""
-    data = np.asarray(data, dtype=float)
-    m = float(np.min(np.log(data)))
-    v = math.floor(m * 10.0) / 10.0
-    if v >= m:
-        v = round(v - 0.1, 10)
-    return v
+    return _auto_shift_from(float(np.min(np.log(np.asarray(data, dtype=float)))))
 
 
 def _auto_shift_from(u_min: float) -> float:
-    """The same one-decimal rule applied to an already transformed minimum."""
+    """Largest one-decimal value strictly below an already transformed minimum."""
     v = math.floor(u_min * 10.0) / 10.0
     if v >= u_min:
         v = round(v - 0.1, 10)
@@ -223,12 +221,7 @@ def run_fit(cfg: RunConfig) -> dict:
         return p
 
     try:
-        fit_cfg = FitConfig(
-            phases=cfg.phases,
-            max_iters=cfg.max_iters,
-            seed=cfg.seed,
-            ordered_reduction=cfg.deterministic,
-        )
+        fit_cfg = FitConfig(phases=cfg.phases, max_iters=cfg.max_iters, seed=cfg.seed)
         model, result = fit_transformed(xs, transform, shift, fit_cfg)
 
         doc = save_model(model, out("params.json"))
@@ -318,43 +311,26 @@ def eval_cmd(params_path: str, query: str, at: float | None) -> str:
 
 
 def _oracle_checks() -> list[tuple[str, bool]]:
-    from .iph import constant_rate, inverse_linear_rate, iph_new, path_new, product_integral
-    from .phcore import erlang_rep, ph_sample
-    import scipy.linalg as sla
-
     checks = []
     exp1 = erlang_rep(1, 1.0)
     d = iph_new(exp1, inverse_linear_rate(1.0))
-    from .iph import iph_sf
-
     ys = np.linspace(0.0, 30.0, 64)
     checks.append(
         ("scalar Pareto survival", bool(np.max(np.abs(iph_sf(d, ys) - 1 / (1 + ys))) < 1e-12))
     )
-    m = tph_pdf(_tph_erlang(2, 3.0), math.e - 1.0)
+    m = tph_pdf(tph_new(erlang_rep(2, 3.0), ParetoExp()), math.e - 1.0)
     checks.append(("log-Erlang density", abs(m - 9 * math.exp(-4)) < 1e-12))
     g = NegLogAffine(0.0, 1.0)
-    from .families import tph_new as _tn
-
     checks.append(
-        ("Gumbel point mass", abs(tph_sf(_tn(exp1, g), 0.0) - (1 - math.exp(-1))) < 1e-12)
+        ("Gumbel point mass", abs(tph_sf(tph_new(exp1, g), 0.0) - (1 - math.exp(-1))) < 1e-12)
     )
     T = erlang_rep(2, 1.5).T
     P = product_integral(path_new(lambda t: T, "const", check_times=[0.0, 1.0]), 0.0, 1.3)
     checks.append(("product integral", bool(np.max(np.abs(P - sla.expm(1.3 * T))) < 1e-8)))
     data = ph_sample(exp1, np.random.default_rng(0), 2000)
-    from .emfit import em_step
-
     stepped = em_step(erlang_rep(1, 5.0), data)
     checks.append(("one-step exponential MLE", abs(-stepped.T[0, 0] - 1 / data.mean()) < 1e-10))
     return checks
-
-
-def _tph_erlang(n, lam):
-    from .families import tph_new
-    from .phcore import erlang_rep
-
-    return tph_new(erlang_rep(n, lam), ParetoExp())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--erlang-baseline", type=int)
     fit.add_argument("--out-dir")
     fit.add_argument("--deterministic", action="store_true", default=None,
-                     help="bitwise-reproducible reduction order in the E-step")
+                     help="kept for compatibility; fits are always bitwise reproducible "
+                          "for a given input and BLAS thread count")
     fit.add_argument("--grid-points", type=int)
     fit.add_argument("--config", help="JSON file with the same keys as the flags")
 
@@ -515,18 +492,12 @@ def main(argv=None) -> int:
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFileError, ShiftError, ModelDocumentError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValidationError,) as exc:
+    except (DataFileError, ShiftError, ModelDocumentError, ValidationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except IphError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

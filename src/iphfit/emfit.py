@@ -13,6 +13,9 @@ exit rate, P = I + C/q is elementwise nonnegative, e^{Cy} is a Poisson
 mixture of its powers, and because the powers are block upper-triangular
 the per-point mixture collapses to one K-term reduction shared by every
 statistic.  One EM iteration costs O(K p^2) plus an N x K weight table.
+The reductions over data points are fixed BLAS products, so a fit is
+bitwise reproducible for a given input and BLAS thread count; there is
+no separate "ordered" mode.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -44,7 +47,7 @@ from .families import (
     TransformedPH,
     tph_new,
 )
-from .phcore import PHDist, erlang_rep, ph_new, ph_pdf
+from .phcore import PHDist, _poisson_weights, erlang_rep, ph_new, ph_pdf
 
 __all__ = [
     "FitConfig",
@@ -56,9 +59,6 @@ __all__ = [
     "fit_erlang_rate",
 ]
 
-# weight table rows switch to log-space Poisson weights past this
-_UNIF_MAX_QX = 600.0
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -66,9 +66,9 @@ class FitConfig:
 
     ``init`` is "random" (seeded by ``seed``), "structured" (the
     feed-forward bidiagonal skeleton), or an explicit PHDist to start
-    from.  ``ordered_reduction`` selects the deterministic left-to-right
-    reduction over data points (bitwise reproducible); the unordered mode
-    is reproducible only up to floating-point reassociation.
+    from.  Fits are always bitwise reproducible for a given input and BLAS
+    thread count; ``ordered_reduction`` is accepted for compatibility and
+    selects nothing.
     """
 
     phases: int
@@ -140,50 +140,20 @@ def ph_loglik(d: PHDist, data) -> float:
 # E-step
 # ---------------------------------------------------------------------------
 
-def _poisson_weights(qy: np.ndarray, K: int) -> np.ndarray:
-    """Rows of Poisson(qy) pmf over k = 0..K, stable for any qy."""
-    n = qy.size
-    W = np.empty((n, K + 1))
-    small = qy <= _UNIF_MAX_QX
-    if np.any(small):
-        qs = qy[small]
-        Ws = np.empty((int(small.sum()), K + 1))
-        Ws[:, 0] = np.exp(-qs)
-        for k in range(1, K + 1):
-            Ws[:, k] = Ws[:, k - 1] * qs / k
-        W[small] = Ws
-    if np.any(~small):
-        qb = qy[~small][:, None]
-        ks = np.arange(K + 1)[None, :]
-        from scipy.special import gammaln
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = -qb + ks * np.log(qb) - gammaln(ks + 1.0)
-        W[~small] = np.exp(logw)
-    return W
-
-
-def _reduce(rows: np.ndarray, ordered: bool) -> np.ndarray:
-    """Sum over axis 0, in strict data order when ``ordered``."""
-    if ordered:
-        return np.cumsum(rows, axis=0)[-1]
-    return rows.sum(axis=0)
-
-
-def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, ordered: bool):
+def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
     """Aggregated E-step statistics and the current log-likelihood.
 
-    Returns (starts, sojourn, jumps, exits, loglik); starts/sojourn/exits
-    are per-state sums over the weighted sample, jumps is the p x p
-    matrix of expected transition counts.
+    ``ys`` must be ascending (np.unique output), as the weight table
+    builder needs.  Returns (starts, sojourn, jumps, exits, loglik);
+    starts/sojourn/exits are per-state sums over the weighted sample,
+    jumps is the p x p matrix of expected transition counts.
     """
     pi, T, t = d.pi, d.T, d.exit
     p = d.dim
     q = 1.05 * float(np.max(-np.diag(T)))
     P1 = np.eye(p) + T / q
-    qy = q * ys
-    m = float(np.max(qy))
-    K = int(m + 12.0 * np.sqrt(m) + 30.0)
+    W = _poisson_weights(q * ys)
+    K = W.shape[1] - 1
 
     # pi P1^k, P1^k t, and pi P1^k t for k = 0..K
     R = np.empty((K + 1, p))
@@ -194,15 +164,14 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, ordered: bool):
         Cv[k] = P1 @ Cv[k - 1]
     fr = R @ t
 
-    W = _poisson_weights(qy, K)
     f = W @ fr
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
         i = int(np.argmin(f))
         raise DomainError(f"zero likelihood at data point y = {ys[i]}; model cannot explain it")
-    loglik = float(_reduce(wt * np.log(f), ordered))
+    loglik = float(np.log(f) @ wt)
 
     # every statistic shares the same per-order weights g_k
-    g = _reduce((wt / f)[:, None] * W, ordered)
+    g = (wt / f) @ W
     starts = pi * (g @ Cv)
     exits = t * (g @ R)
     # U-block recurrence: S_k = S_{k-1} P1 + P1^{k-1} (t pi / q)
@@ -216,7 +185,7 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, ordered: bool):
     return starts, sojourn, jumps, exits, loglik
 
 
-def _mstep(d: PHDist, starts, sojourn, jumps, exits, n_total: float, freeze=None):
+def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):
     """Build the updated representation; ``freeze`` masks degenerate states."""
     p = d.dim
     pi_new = np.maximum(starts, 0.0)
@@ -243,15 +212,15 @@ def _mstep(d: PHDist, starts, sojourn, jumps, exits, n_total: float, freeze=None
 # public fitting operations
 # ---------------------------------------------------------------------------
 
-def em_step(d: PHDist, data, ordered: bool = True) -> PHDist:
+def em_step(d: PHDist, data) -> PHDist:
     """One EM update; never decreases ph_loglik."""
     if not d.markov:
         raise ValidationError("EM requires a Markov representation")
     ys = _check_data(data)
     uy, inv = np.unique(ys, return_inverse=True)
     wt = np.bincount(inv).astype(float)
-    starts, sojourn, jumps, exits, _ = _estep(d, uy, wt, ordered)
-    return _mstep(d, starts, sojourn, jumps, exits, float(ys.size))
+    starts, sojourn, jumps, exits, _ = _estep(d, uy, wt)
+    return _mstep(d, starts, sojourn, jumps, exits)
 
 
 def _random_init(p: int, target_mean: float, rng: np.random.Generator) -> PHDist:
@@ -282,7 +251,6 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
     ys = _check_data(data)
     uy, inv = np.unique(ys, return_inverse=True)
     wt = np.bincount(inv).astype(float)
-    n = float(ys.size)
 
     if isinstance(config.init, PHDist):
         if not config.init.markov:
@@ -303,7 +271,7 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
     converged = False
     iters = 0
     for _ in range(config.max_iters):
-        starts, sojourn, jumps, exits, ll = _estep(current, uy, wt, config.ordered_reduction)
+        starts, sojourn, jumps, exits, ll = _estep(current, uy, wt)
         trace.append(ll)
         if len(trace) >= 2:
             prev = trace[-2]
@@ -317,11 +285,11 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
             if msg not in notes:
                 notes.append(msg)
                 warnings.warn(msg, DegenerateStateWarning, stacklevel=2)
-        current = _mstep(current, starts, sojourn, jumps, exits, n, freeze=freeze)
+        current = _mstep(current, starts, sojourn, jumps, exits, freeze=freeze)
         iters += 1
     else:
         # final loglik of the last iterate
-        *_, ll = _estep(current, uy, wt, config.ordered_reduction)
+        *_, ll = _estep(current, uy, wt)
         trace.append(ll)
 
     norm = float(np.max(np.abs(current.T)))

@@ -34,18 +34,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (
-    DegenerateConditioningError,
     DivergentMomentError,
     DomainError,
     NonConvergenceError,
     ValidationError,
 )
-from .matfun import mat_fun, mat_log_neg, power_function, upper_inc_gamma_mat
+from .matfun import mat_fun, mat_power_base, power_function, upper_inc_gamma_mat
 from .phcore import (
     PHDist,
+    _condition,
     mixture_rep,
+    ph_log_moment,
     ph_mean,
-    ph_new,
     ph_pdf,
     ph_quantile,
     ph_sample,
@@ -75,9 +75,8 @@ __all__ = [
     "sp_mean",
     "erlang_oracle",
     "mixture_density",
+    "mixture_tph",
 ]
-
-EULER_GAMMA = float(np.euler_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +376,10 @@ def mp_conditional_excess(d: TransformedPH, x: float) -> TransformedPH:
         raise DomainError(f"threshold must be nonnegative, got {x}")
     if x == 0.0:
         return d
-    base, g = d.base, d.transform
-    c = g.scale(d.mu)
-    u = math.log1p(x / c)
-    alpha = base.pi @ _expm_of(base.T * u)
-    denom = float(alpha @ base.close)
-    if not (denom > 1e-300):
-        raise DegenerateConditioningError(
-            f"survival at threshold {x} is {denom:.3e}; conditioning is degenerate"
-        )
-    alpha = alpha / denom
-    if base.markov:
-        alpha = np.maximum(alpha, 0.0)
-        alpha /= alpha.sum()
-        new_base = ph_new(alpha, base.T, markov=True)
-    else:
-        new_base = ph_new(alpha, base.T, markov=False, exit=base.exit)
+    c = d.transform.scale(d.mu)
+    new_base = _condition(d.base, math.log1p(x / c), f"threshold {x}")
     # scale c' = c + x corresponds to beta' = beta + mu x
     return tph_new(new_base, ParetoExp(beta=(c + x) * ph_mean(new_base)))
-
-
-def _expm_of(A):
-    from .matfun import mat_exp
-
-    return mat_exp(A)
 
 
 def mp_laplace(d: TransformedPH, s: float) -> float:
@@ -427,8 +406,6 @@ def mp_laplace(d: TransformedPH, s: float) -> float:
             limit=200,
         )
         return float(val) if val >= 1e-300 else 0.0
-    from .matfun import mat_power_base
-
     Minv = mat_power_base(1.0 / a, base.T)
     G = upper_inc_gamma_mat(base.T, a)
     return float(math.exp(a) * (base.pi @ Minv @ G @ base.exit))
@@ -510,24 +487,10 @@ def mw_mgf(d: TransformedPH, theta: float, max_terms: int = 400) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 def ep_mean(d: TransformedPH) -> float:
-    """E(Y) = mu + sigma gamma + sigma pi log(-T) e."""
+    """E(Y) = mu - sigma E(log X) = mu + sigma gamma + sigma pi log(-T) e."""
     _expect(d, NegLogAffine, "ep_mean")
     g = d.transform
-    base = d.base
-    if base.markov:
-        L = mat_log_neg(base.T)
-    else:
-        L = mat_fun(-base.T, _log_function())
-    return g.mu + g.sigma * EULER_GAMMA + g.sigma * float(base.pi @ L @ base.close)
-
-
-def _log_function():
-    from .matfun import AnalyticFunction
-
-    def deriv(z, k):
-        return (-1.0) ** (k - 1) * math.factorial(k - 1) * complex(z) ** (-k)
-
-    return AnalyticFunction(lambda z: np.log(complex(z)), deriv, name="log")
+    return g.mu - g.sigma * ph_log_moment(d.base)
 
 
 def ep_laplace(d: TransformedPH, s: float) -> float:

@@ -26,14 +26,21 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import (
-    DegenerateConditioningError,
     DomainError,
     IntegrationError,
     NonConvergenceError,
     ValidationError,
 )
-from .matfun import check_sub_intensity, mat_exp, mat_fun
-from .phcore import PHDist, ph_new, ph_pdf, ph_sample, ph_sf
+from .matfun import check_sub_intensity, mat_fun
+from .phcore import (
+    PHDist,
+    _bisect_increasing,
+    _check_points,
+    _condition,
+    ph_pdf,
+    ph_sample,
+    ph_sf,
+)
 
 __all__ = [
     "RateFunction",
@@ -103,24 +110,11 @@ class RateFunction:
         y = np.atleast_1d(y).astype(float)
         if np.any(y < 0):
             raise DomainError("primitive values are nonnegative; cannot invert below 0")
-        hi = np.ones_like(y)
-        for _ in range(200):
-            mask = self.primitive_at(hi) < y
-            if not np.any(mask):
-                break
-            hi[mask] *= 2.0
-        else:
-            raise NonConvergenceError("inversion bracket did not close")
-        lo = np.zeros_like(y)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = self.primitive_at(mid) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= 1e-10 * np.maximum(hi, 1e-300)):
-                break
-        out = 0.5 * (lo + hi)
-        out[y == 0.0] = 0.0
+        out = _bisect_increasing(
+            lambda x: self.primitive_at(x) < y,
+            np.where(y == 0.0, 0.0, 1.0),
+            NonConvergenceError("inversion bracket did not close"),
+        )
         return float(out[0]) if scalar else out
 
 
@@ -220,23 +214,15 @@ def iph_new(base: PHDist, rate: RateFunction) -> IPHDist:
     return IPHDist(base, rate)
 
 
-def _check_nonneg(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        bad = np.atleast_1d(arr)[~(np.atleast_1d(arr) >= 0)][0]
-        raise DomainError(f"evaluation point must be a finite nonnegative real, got {bad}")
-    return arr
-
-
 def iph_pdf(d: IPHDist, x):
     """rate(x) pi e^{R(x) T} t."""
-    x = _check_nonneg(x)
+    x = _check_points(x)
     return d.rate.rate_at(x) * ph_pdf(d.base, d.rate.primitive_at(x))
 
 
 def iph_sf(d: IPHDist, x):
     """pi e^{R(x) T} e."""
-    x = _check_nonneg(x)
+    x = _check_points(x)
     return ph_sf(d.base, d.rate.primitive_at(x))
 
 
@@ -255,21 +241,9 @@ def iph_overshoot(d: IPHDist, s: float) -> IPHDist:
         raise DomainError(f"conditioning level must be nonnegative, got {s}")
     if s == 0.0:
         return d
-    base, rf = d.base, d.rate
+    rf = d.rate
     Rs = float(rf.primitive_at(s))
-    alpha = base.pi @ mat_exp(base.T * Rs)
-    denom = float(alpha @ base.close)
-    if not (denom > 1e-300):
-        raise DegenerateConditioningError(
-            f"survival at level {s} is {denom:.3e}; conditioning is degenerate"
-        )
-    alpha = alpha / denom
-    if base.markov:
-        alpha = np.maximum(alpha, 0.0)
-        alpha /= alpha.sum()
-        new_base = ph_new(alpha, base.T, markov=True)
-    else:
-        new_base = ph_new(alpha, base.T, markov=False, exit=base.exit)
+    new_base = _condition(d.base, Rs, f"level {s}")
 
     inv = None
     if rf.inverse_primitive is not None:
@@ -487,6 +461,8 @@ def thinning_sample(
             probs = np.concatenate([r, exit_rate[:, None]], axis=1)
             probs /= probs.sum(axis=1, keepdims=True)
             cum = np.cumsum(probs, axis=1)
+            # a row may sum to 1 - 2^-53; u < 1 must never pass the last column
+            cum[:, -1] = 1.0
             nxt = (cum <= rng.random(idx.size)[:, None]).sum(axis=1)
             absorbed = nxt == p
             state[active[idx]] = np.where(absorbed, s[idx], np.minimum(nxt, p - 1))

@@ -26,17 +26,21 @@ exponentials as the last resort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import (
+    DegenerateConditioningError,
     DomainError,
     UnsupportedRepresentationError,
     ValidationError,
 )
 from .matfun import (
     MAX_DIM,
+    AnalyticFunction,
     check_square,
     check_sub_intensity,
     mat_exp,
@@ -63,9 +67,10 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# uniformization: points with q*x beyond this go through per-point expm
-# (the Poisson weights would underflow); below it the series is exact to
-# round-off because every term is nonnegative.
+# uniformization: past this q*x, e^{-qx} underflows, so Poisson weight rows
+# are built in log space (EM) or the point goes through per-point expm
+# (evaluation); below it the series is exact to round-off because every
+# term is nonnegative.
 _UNIF_MAX_QX = 600.0
 
 
@@ -232,6 +237,29 @@ def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
 
 
+def _poisson_weights(qx: np.ndarray) -> np.ndarray:
+    """Rows of the Poisson(qx) pmf over k = 0..K, K = m + 12 sqrt(m) + 30.
+
+    m is the largest qx, so every row keeps all but a negligible tail.
+    Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence; the
+    rest are built in log space and must come last (ascending input, or
+    none past the cutoff).
+    """
+    m = float(np.max(qx))
+    K = int(m + 12.0 * np.sqrt(m) + 30.0)
+    W = np.empty((qx.size, K + 1))
+    n = int(np.count_nonzero(qx <= _UNIF_MAX_QX))
+    Ws, qs = W[:n], qx[:n]
+    Ws[:, 0] = np.exp(-qs)
+    for k in range(1, K + 1):
+        Ws[:, k] = Ws[:, k - 1] * qs / k
+    if n < qx.size:
+        qb = qx[n:, None]
+        ks = np.arange(K + 1)
+        W[n:] = np.exp(-qb + ks * np.log(qb) - gammaln(ks + 1.0))
+    return W
+
+
 def _unif_action(pi, T, v, xs):
     """Uniformization series; all terms nonnegative for Markov generators."""
     q = 1.0000001 * float(np.max(-np.diag(T)))
@@ -242,32 +270,31 @@ def _unif_action(pi, T, v, xs):
         out[big] = [float(pi @ mat_exp(T * x) @ v) for x in xs[big]]
     small = ~big
     if np.any(small):
-        m = float(np.max(qx[small]))
-        K = int(m + 12.0 * np.sqrt(m) + 30.0)
+        W = _poisson_weights(qx[small])
         P = np.eye(len(pi)) + T / q
-        coeffs = np.empty(K + 1)
+        coeffs = np.empty(W.shape[1])
         u = pi.copy()
-        for k in range(K + 1):
+        for k in range(coeffs.size):
             coeffs[k] = u @ v
             u = u @ P
-        # Poisson weights built by the stable forward recurrence
-        qxs = qx[small]
-        W = np.empty((qxs.size, K + 1))
-        W[:, 0] = np.exp(-qxs)
-        for k in range(1, K + 1):
-            W[:, k] = W[:, k - 1] * qxs / k
         out[small] = W @ coeffs
     return out
 
 
-def _eval(d: PHDist, x, v: np.ndarray, clamp=None):
+def _check_points(x) -> np.ndarray:
+    """x as a float array; DomainError unless every entry is finite and >= 0."""
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
     invalid = (x_arr < 0) | ~np.isfinite(x_arr)
     if np.any(invalid):
         bad = x_arr[invalid][0]
         raise DomainError(f"evaluation point must be a finite nonnegative real, got {bad}")
+    return x_arr
+
+
+def _eval(d: PHDist, x, v: np.ndarray, clamp=None):
+    x_arr = _check_points(x)
+    scalar = x_arr.ndim == 0
+    x_arr = np.atleast_1d(x_arr)
     out = _exp_action(d, x_arr, v)
     if clamp is not None:
         out = np.clip(out, clamp[0], clamp[1])
@@ -306,35 +333,72 @@ def ph_frac_moment(d: PHDist, theta: float) -> float:
     """
     if not (theta > -1):
         raise DomainError(f"fractional moment requires theta > -1, got {theta}")
-    import math
-
     M = mat_fun(-d.T, power_function(-theta))
     return math.gamma(1.0 + theta) * float(d.pi @ M @ d.close)
 
 
 def ph_log_moment(d: PHDist) -> float:
     """E(log X) = -gamma - pi log(-T) e."""
-    if not d.markov:
-        # the identity only needs the ME closing vector in place of e
-        L = mat_fun(-d.T, _log_fun())
-        return -EULER_GAMMA - float(d.pi @ L @ d.close)
-    return -EULER_GAMMA - float(d.pi @ mat_log_neg(d.T) @ d.close)
+    # the identity only needs the ME closing vector in place of e
+    L = mat_log_neg(d.T) if d.markov else mat_fun(-d.T, _log_fun())
+    return -EULER_GAMMA - float(d.pi @ L @ d.close)
 
 
 def _log_fun():
-    import math
-
     def deriv(z, k):
         return (-1.0) ** (k - 1) * math.factorial(k - 1) * np.power(complex(z), -k)
 
-    from .matfun import AnalyticFunction
-
     return AnalyticFunction(lambda z: np.log(complex(z)), deriv, name="log")
+
+
+def _condition(base: PHDist, u: float, where: str) -> PHDist:
+    """Law of X - u given X > u: start vector pi e^{Tu}, renormalized.
+
+    ``where`` names the caller's conditioning point in the error raised
+    when P(X > u) underflows.
+    """
+    alpha = base.pi @ mat_exp(base.T * u)
+    denom = float(alpha @ base.close)
+    if not (denom > 1e-300):
+        raise DegenerateConditioningError(
+            f"survival at {where} is {denom:.3e}; conditioning is degenerate"
+        )
+    alpha = alpha / denom
+    if base.markov:
+        alpha = np.maximum(alpha, 0.0)
+        alpha /= alpha.sum()
+        return ph_new(alpha, base.T, markov=True)
+    return ph_new(alpha, base.T, markov=False, exit=base.exit)
 
 
 # ---------------------------------------------------------------------------
 # quantiles
 # ---------------------------------------------------------------------------
+
+def _bisect_increasing(too_small, hi: np.ndarray, fail: Exception, rel_tol: float = 1e-10):
+    """Per-entry root of a monotone predicate: the x where too_small(x) turns false.
+
+    ``hi`` is doubled where the predicate still holds (``fail`` is raised
+    after 200 doublings), then [0, hi] is bisected until every bracket is
+    within ``rel_tol`` of its upper end.  Entries starting at hi = 0 stay 0.
+    """
+    for _ in range(200):
+        mask = too_small(hi)
+        if not np.any(mask):
+            break
+        hi[mask] *= 2.0
+    else:
+        raise fail
+    lo = np.zeros_like(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = too_small(mid)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo <= rel_tol * np.maximum(hi, 1e-300)):
+            break
+    return 0.5 * (lo + hi)
+
 
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
     """Quantile via bisection on ph_sf; bracket grows by doubling."""
@@ -344,24 +408,13 @@ def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
     if np.any((q_arr < 0) | (q_arr >= 1)):
         raise DomainError("quantile level must lie in [0, 1)")
     target = 1.0 - q_arr
-    hi = np.full(q_arr.shape, max(ph_mean(d), 1e-3))
-    for _ in range(200):
-        mask = ph_sf(d, hi) > target
-        if not np.any(mask):
-            break
-        hi[mask] *= 2.0
-    else:
-        raise DomainError("quantile bracket did not close; level too extreme")
-    lo = np.zeros_like(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = ph_sf(d, mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.all(hi - lo <= rel_tol * np.maximum(hi, 1e-30)):
-            break
-    out = 0.5 * (lo + hi)
-    out = np.where(q_arr == 0.0, 0.0, out)
+    hi = np.where(q_arr == 0.0, 0.0, max(ph_mean(d), 1e-3))
+    out = _bisect_increasing(
+        lambda x: ph_sf(d, x) > target,
+        hi,
+        DomainError("quantile bracket did not close; level too extreme"),
+        rel_tol,
+    )
     return float(out[0]) if scalar else out
 
 

@@ -143,6 +143,19 @@ def test_run_fit_deterministic_outputs(tmp_path):
     assert one(tmp_path / "r1") == one(tmp_path / "r2")
 
 
+def test_deterministic_flag_changes_nothing(tmp_path):
+    data_path, _ = write_claims(tmp_path)
+    outputs = []
+    for flag in ([], ["--deterministic"]):
+        out = tmp_path / f"out{len(outputs)}"
+        rc = main(["fit", "--input", str(data_path), "--header-rows", "1",
+                   "--transform", "pareto", "--phases", "2", "--seed", "3",
+                   "--max-iters", "60", "--out-dir", str(out)] + flag)
+        assert rc == EXIT_OK
+        outputs.append([(out / n).read_bytes() for n in ("params.json", "loglik.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_fit_cleans_partial_outputs(tmp_path, monkeypatch):
     data_path, _ = write_claims(tmp_path)
     out = tmp_path / "out"

@@ -84,7 +84,7 @@ def test_estep_mass_conservation():
     rng = np.random.default_rng(73)
     d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
     for y in (0.2, 1.0, 4.0, 11.0):
-        starts, sojourn, jumps, exits, _ = _estep(d, np.array([y]), np.array([1.0]), True)
+        starts, sojourn, jumps, exits, _ = _estep(d, np.array([y]), np.array([1.0]))
         assert abs(sojourn.sum() - y) < 1e-8
         assert abs(exits.sum() - 1.0) < 1e-8
         assert abs(starts.sum() - 1.0) < 1e-8
@@ -136,6 +136,10 @@ def test_ordered_reduction_is_bitwise_repeatable():
     b = fit_ph_em(ys, cfg)
     assert np.array_equal(a.fitted.T, b.fitted.T)
     assert a.loglik_trace == b.loglik_trace
+    # the flag is kept for compatibility only: both settings run one path
+    c = fit_ph_em(ys, FitConfig(phases=3, max_iters=15, seed=5, ordered_reduction=False))
+    assert np.array_equal(a.fitted.T, c.fitted.T)
+    assert a.loglik_trace == c.loglik_trace
 
 
 def test_duplicate_aggregation_is_invisible():

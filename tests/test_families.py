@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from iphfit.errors import (
+    DegenerateConditioningError,
     DivergentMomentError,
     DomainError,
     NonConvergenceError,
@@ -336,6 +337,12 @@ def test_conditional_excess_threshold_stability():
     assert np.max(np.abs(tph_sf(twice, ts) - tph_sf(once, ts))) < 1e-9
 
 
+def test_conditional_excess_degenerate_conditioning():
+    d = tph_new(erlang_rep(1, 5.0), ParetoExp(beta=None))
+    with pytest.raises(DegenerateConditioningError, match="threshold 1e\\+200"):
+        mp_conditional_excess(d, 1e200)
+
+
 def test_conditional_excess_at_zero_is_identity():
     d = tph_new(erlang_rep(2, 2.0), ParetoExp(beta=None))
     exc = mp_conditional_excess(d, 0.0)
@@ -420,6 +427,18 @@ def test_ep_mean_and_laplace():
     assert ep_laplace(d, 0.0) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(DomainError):
         ep_laplace(d, -2.5)  # s*sigma <= -1
+
+
+def test_ep_mean_me_base():
+    me = ph_new([101.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-101.0, -103.0, -3.0]],
+                markov=False, exit=[0.0, 0.0, 1.0])
+    d = tph_new(me, NegLogAffine(1.0, 0.5))
+    # E(Y) = mu - sigma E(log X), with E(log X) by quadrature of the base density
+    elog = sum(
+        quad(lambda x: math.log(x) * float(ph_pdf(me, x)), a, b, limit=400)[0]
+        for a, b in [(0.0, 1.0), (1.0, 40.0)]
+    )
+    assert ep_mean(d) == pytest.approx(1.0 - 0.5 * elog, rel=1e-8)
 
 
 def test_sp_mean_and_divergence():

@@ -148,6 +148,18 @@ def test_overshoot_sf_identity():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_overshoot_sf_identity_me_base():
+    me = ph_new([101.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-101.0, -103.0, -3.0]],
+                markov=False, exit=[0.0, 0.0, 1.0])
+    d = iph_new(me, power_rate(1.5))
+    s = 0.9
+    exc = iph_overshoot(d, s)
+    assert not exc.base.markov
+    ts = np.linspace(0.0, 3.0, 30)
+    want = iph_sf(d, s + ts) / iph_sf(d, s)
+    assert np.max(np.abs(iph_sf(exc, ts) - want)) < 1e-9
+
+
 def test_overshoot_composition():
     d = iph_new(erlang_rep(2, 1.0), inverse_linear_rate(1.0))
     one = iph_overshoot(iph_overshoot(d, 0.8), 1.4)
@@ -158,8 +170,18 @@ def test_overshoot_composition():
 
 def test_overshoot_degenerate_conditioning():
     d = iph_new(erlang_rep(1, 1.0), power_rate(2.0))
-    with pytest.raises(DegenerateConditioningError):
+    with pytest.raises(DegenerateConditioningError, match="level 1000000.0"):
         iph_overshoot(d, 1e6)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+def test_pdf_sf_reject_bad_points(bad):
+    d = iph_new(erlang_rep(2, 1.0), power_rate(2.0))
+    for fn in (iph_pdf, iph_sf):
+        with pytest.raises(DomainError):
+            fn(d, bad)
+        with pytest.raises(DomainError):
+            fn(d, np.array([0.5, bad]))
 
 
 def test_alpha_moment_examples():
@@ -310,3 +332,26 @@ def test_thinning_deterministic_under_seed():
     a = thinning_sample(base.pi, path, 2.0, np.random.default_rng(4), 500)
     b = thinning_sample(base.pi, path, 2.0, np.random.default_rng(4), 500)
     assert np.array_equal(a, b)
+
+
+class _TopUniformRng:
+    """Generator stub: every uniform is 1 - 2^-53, the largest double below 1."""
+
+    def choice(self, n, size, p):
+        return np.zeros(size, dtype=np.int64)
+
+    def exponential(self, scale, size):
+        return np.full(size, scale)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_thinning_top_uniform_absorbs():
+    # state 0's jump probabilities sum to 1 - 2^-53 after normalization, so
+    # the top uniform passes every cumulative entry unless the last is pinned
+    T = np.diag([-1.3] * 5)
+    T[0, 1:] = [0.1, 0.1, 0.3, 0.3]
+    path = path_new(lambda t: T, check_times=[0.0])
+    draws = thinning_sample(np.eye(5)[0], path, 1.3, _TopUniformRng(), 4)
+    assert np.array_equal(draws, np.full(4, 1.0 / 1.3))
