@@ -12,10 +12,12 @@ whole sample at once by uniformization: with q slightly above the largest
 exit rate, P = I + C/q is elementwise nonnegative, e^{Cy} is a Poisson
 mixture of its powers, and because the powers are block upper-triangular
 the per-point mixture collapses to one K-term reduction shared by every
-statistic.  One EM iteration costs O(K p^2) plus an N x K weight table.
-The reductions over data points are fixed BLAS products, so a fit is
-bitwise reproducible for a given input and BLAS thread count; there is
-no separate "ordered" mode.
+statistic.  One EM iteration costs O(K p^2) plus O(N K) Poisson weights,
+built and reduced in bounded row blocks over the ascending data, so each
+point only pays for the depth of its own block and no N x K table is
+held.  The blocks are reduced in a fixed order with fixed BLAS products,
+so a fit is bitwise reproducible for a given input and BLAS thread
+count; there is no separate "ordered" mode.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -47,7 +49,7 @@ from .families import (
     TransformedPH,
     tph_new,
 )
-from .phcore import PHDist, _poisson_weights, erlang_rep, ph_new, ph_pdf
+from .phcore import PHDist, _poisson_blocks, _poisson_depth, erlang_rep, ph_new, ph_pdf
 
 __all__ = [
     "FitConfig",
@@ -143,7 +145,7 @@ def ph_loglik(d: PHDist, data) -> float:
 def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
     """Aggregated E-step statistics and the current log-likelihood.
 
-    ``ys`` must be ascending (np.unique output), as the weight table
+    ``ys`` must be ascending (np.unique output), as the Poisson block
     builder needs.  Returns (starts, sojourn, jumps, exits, loglik);
     starts/sojourn/exits are per-state sums over the weighted sample,
     jumps is the p x p matrix of expected transition counts.
@@ -152,8 +154,8 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
     p = d.dim
     q = 1.05 * float(np.max(-np.diag(T)))
     P1 = np.eye(p) + T / q
-    W = _poisson_weights(q * ys)
-    K = W.shape[1] - 1
+    qy = q * ys
+    K = int(_poisson_depth(qy[-1]))
 
     # pi P1^k, P1^k t, and pi P1^k t for k = 0..K
     R = np.empty((K + 1, p))
@@ -164,14 +166,20 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
         Cv[k] = P1 @ Cv[k - 1]
     fr = R @ t
 
-    f = W @ fr
-    if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
-        i = int(np.argmin(f))
-        raise DomainError(f"zero likelihood at data point y = {ys[i]}; model cannot explain it")
-    loglik = float(np.log(f) @ wt)
-
-    # every statistic shares the same per-order weights g_k
-    g = (wt / f) @ W
+    # every statistic shares the same per-order weights g_k; blocks are
+    # reduced in a fixed order, so the sums are bitwise repeatable
+    g = np.zeros(K + 1)
+    loglik = 0.0
+    for lo, hi, W in _poisson_blocks(qy):
+        Kc = W.shape[1]
+        f = W @ fr[:Kc]
+        if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
+            i = lo + int(np.argmin(f))
+            raise DomainError(
+                f"zero likelihood at data point y = {ys[i]}; model cannot explain it"
+            )
+        loglik += float(np.log(f) @ wt[lo:hi])
+        g[:Kc] += (wt[lo:hi] / f) @ W
     starts = pi * (g @ Cv)
     exits = t * (g @ R)
     # U-block recurrence: S_k = S_{k-1} P1 + P1^{k-1} (t pi / q)

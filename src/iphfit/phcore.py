@@ -19,9 +19,12 @@ textbook oscillating-density example needs this).
 
 Evaluation over arrays is routed through one of three backends: a closed
 form for one phase, positive-series uniformization for Markov generators
-(no cancellation, preserves relative accuracy), and an eigen-decomposition
-for diagonalizable non-Markov representations, with per-point matrix
-exponentials as the last resort.
+(no cancellation, preserves relative accuracy; the distribution function
+is a positive series of its own), and for non-Markov representations an
+eigen-decomposition, with per-point matrix exponentials when the
+eigenvectors are ill-conditioned.  Uniformization sorts the points once
+and reduces blocks of Poisson weights (``_poisson_blocks``, shared with
+the EM E-step) against one coefficient vector, at every q x.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .errors import (
     DegenerateConditioningError,
@@ -67,11 +70,17 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# uniformization: past this q*x, e^{-qx} underflows, so Poisson weight rows
-# are built in log space (EM) or the point goes through per-point expm
-# (evaluation); below it the series is exact to round-off because every
-# term is nonnegative.
+# uniformization: past this q*x the forward recurrence's e^{-qx} start
+# underflows, so those Poisson weight rows are built in log space; every
+# series term is nonnegative, so the sum is exact to round-off either way.
 _UNIF_MAX_QX = 600.0
+
+# Poisson weight tables are built and reduced in row blocks of at most this
+# many entries (4 MiB of float64): peak memory no longer grows as N x K, and
+# larger blocks raised the query path's peak RSS without saving time.
+_BLOCK_ENTRIES = 1 << 19
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -237,47 +246,96 @@ def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
 
 
-def _poisson_weights(qx: np.ndarray) -> np.ndarray:
-    """Rows of the Poisson(qx) pmf over k = 0..K, K = m + 12 sqrt(m) + 30.
+def _poisson_depth(qx):
+    """Truncation depth K = m + 12 sqrt(m) + 30 of the Poisson(m) series."""
+    return (qx + 12.0 * np.sqrt(qx) + 30.0).astype(np.int64)
 
-    m is the largest qx, so every row keeps all but a negligible tail.
+
+def _poisson_blocks(qx: np.ndarray, max_depth=None):
+    """Poisson(qx) pmf tables over ascending qx, one row block at a time.
+
+    Yields (lo, hi, W): W is the column-major table of rows lo:hi over
+    k = 0..K, with K the depth of the block's largest qx (at most
+    ``max_depth``), so every row keeps all but a negligible tail.  A block
+    ends where the depth doubles or the table would pass _BLOCK_ENTRIES,
+    whichever comes first (at least one row), so memory stays bounded and
+    small points never pay for the depth of a far one.  Every block is
+    written into one reused buffer: reduce W before taking the next block.
     Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence; the
-    rest are built in log space and must come last (ascending input, or
-    none past the cutoff).
+    rest are built in log space.
     """
-    m = float(np.max(qx))
-    K = int(m + 12.0 * np.sqrt(m) + 30.0)
-    W = np.empty((qx.size, K + 1))
-    n = int(np.count_nonzero(qx <= _UNIF_MAX_QX))
-    Ws, qs = W[:n], qx[:n]
-    Ws[:, 0] = np.exp(-qs)
-    for k in range(1, K + 1):
-        Ws[:, k] = Ws[:, k - 1] * qs / k
-    if n < qx.size:
-        qb = qx[n:, None]
-        ks = np.arange(K + 1)
-        W[n:] = np.exp(-qb + ks * np.log(qb) - gammaln(ks + 1.0))
-    return W
+    depth = _poisson_depth(qx)
+    if max_depth is not None:
+        depth = np.minimum(depth, max_depth)
+    # one buffer for every block: the budget, or the longest single row
+    row = int(depth[-1]) + 1 if qx.size else 0
+    buf = np.empty(max(min(_BLOCK_ENTRIES, qx.size * row), row))
+    lo = 0
+    while lo < qx.size:
+        hi = int(np.searchsorted(depth, 2 * depth[lo], side="right"))
+        hi = min(hi, lo + max(1, _BLOCK_ENTRIES // (int(depth[hi - 1]) + 1)))
+        K = int(depth[hi - 1])
+        W = buf[: (hi - lo) * (K + 1)].reshape((hi - lo, K + 1), order="F")
+        n = int(np.searchsorted(qx[lo:hi], _UNIF_MAX_QX, side="right"))
+        if n:
+            Ws, qs = W[:n], qx[lo : lo + n]
+            Ws[:, 0] = np.exp(-qs)
+            for k in range(1, K + 1):
+                np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
+                Ws[:, k] /= k
+        if n < hi - lo:
+            ks = np.arange(K + 1.0)
+            qb = qx[lo + n : hi]
+            Wb = W[n:]
+            np.multiply.outer(np.log(qb), ks, out=Wb)
+            Wb -= qb[:, None]
+            Wb -= gammaln(ks + 1.0)
+            np.exp(Wb, out=Wb)
+        yield lo, hi, W
+        lo = hi
 
 
-def _unif_action(pi, T, v, xs):
-    """Uniformization series; all terms nonnegative for Markov generators."""
+def _unif_action(pi, T, v, xs, cumulative=False):
+    """Uniformization series sum_k Pois(k; qx) a_k with a_k = pi P^k v.
+
+    All terms are nonnegative for Markov generators.  With ``cumulative``
+    the coefficients are a_k = sum_{j<k} pi P^j v / q instead: for v = t
+    that is the distribution function, because (I - P) e = t / q turns
+    1 - pi P^k e into those sums, so small values keep their digits.
+
+    Once pi P^k e falls below the smallest normal float every later a_k
+    is that small (or, cumulative, that close to the last one), so the
+    series stops there and its tail is the last coefficient times the
+    Poisson tail mass: far points cost no more than the law's own decay.
+    """
     q = 1.0000001 * float(np.max(-np.diag(T)))
     qx = q * xs
+    order = np.argsort(qx, kind="stable")
+    qx = qx[order]
+    P = np.eye(len(pi)) + T / q
+    # rows pi P^k by doubling; P is substochastic, so once a row sums below
+    # `vanished` no later a_k = pi P^k v exceeds the smallest normal float
+    vanished = _TINY / max(float(np.max(v)), 1.0)
+    n = int(_poisson_depth(qx[-1])) + 1 if qx.size else 0
+    R, Pk = pi[None, :], P
+    while R.shape[0] <= n and R[-1].sum() >= vanished:
+        R = np.vstack([R, R @ Pk])
+        Pk = Pk @ Pk
+    small = np.flatnonzero(R.sum(axis=1) < vanished)
+    stopped = small.size > 0 and small[0] <= n
+    if stopped:
+        n = int(small[0])
+    coeffs = np.append(R[:n] @ v, 0.0)
+    if cumulative:
+        coeffs[1:] = np.cumsum(coeffs[:-1]) / q
+        coeffs[0] = 0.0
+    tail = coeffs[n] if stopped else 0.0
     out = np.empty_like(xs)
-    big = qx > _UNIF_MAX_QX
-    if np.any(big):
-        out[big] = [float(pi @ mat_exp(T * x) @ v) for x in xs[big]]
-    small = ~big
-    if np.any(small):
-        W = _poisson_weights(qx[small])
-        P = np.eye(len(pi)) + T / q
-        coeffs = np.empty(W.shape[1])
-        u = pi.copy()
-        for k in range(coeffs.size):
-            coeffs[k] = u @ v
-            u = u @ P
-        out[small] = W @ coeffs
+    for lo, hi, W in _poisson_blocks(qx, n - 1):
+        s = W @ coeffs[: W.shape[1]]
+        if tail and W.shape[1] == n:
+            s += tail * pdtrc(n - 1, qx[lo:hi])
+        out[order[lo:hi]] = s
     return out
 
 
@@ -291,13 +349,11 @@ def _check_points(x) -> np.ndarray:
     return x_arr
 
 
-def _eval(d: PHDist, x, v: np.ndarray, clamp=None):
+def _eval(x, action, clamp):
+    """``action`` over the checked points x, clipped to ``clamp``."""
     x_arr = _check_points(x)
     scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    out = _exp_action(d, x_arr, v)
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
+    out = np.clip(action(np.atleast_1d(x_arr)), clamp[0], clamp[1])
     return float(out[0]) if scalar else out
 
 
@@ -307,17 +363,24 @@ def _eval(d: PHDist, x, v: np.ndarray, clamp=None):
 
 def ph_pdf(d: PHDist, x):
     """Density pi e^{Tx} t at x >= 0 (scalar or array)."""
-    return _eval(d, x, d.exit, clamp=(0.0, np.inf))
+    return _eval(x, lambda xs: _exp_action(d, xs, d.exit), (0.0, np.inf))
 
 
 def ph_sf(d: PHDist, x):
     """Survival probability P(X > x)."""
-    return _eval(d, x, d.close, clamp=(0.0, 1.0))
+    return _eval(x, lambda xs: _exp_action(d, xs, d.close), (0.0, 1.0))
 
 
 def ph_cdf(d: PHDist, x):
-    """Distribution function 1 - ph_sf."""
-    return 1.0 - ph_sf(d, x)
+    """Distribution function P(X <= x).
+
+    For Markov laws this is a positive uniformization series of its own,
+    so it keeps its relative accuracy where it is tiny; ME laws use
+    1 - ph_sf.
+    """
+    if not d.markov:
+        return 1.0 - ph_sf(d, x)
+    return _eval(x, lambda xs: _unif_action(d.pi, d.T, d.exit, xs, cumulative=True), (0.0, 1.0))
 
 
 def ph_mean(d: PHDist) -> float:
@@ -401,16 +464,31 @@ def _bisect_increasing(too_small, hi: np.ndarray, fail: Exception, rel_tol: floa
 
 
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
-    """Quantile via bisection on ph_sf; bracket grows by doubling."""
+    """Quantile by bisection; the bracket grows by doubling.
+
+    Levels below 1/2 bisect on ph_cdf(x) < q, the rest on ph_sf(x) > 1 - q,
+    so neither tail loses its digits to 1 - q rounding.
+    """
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
     if np.any((q_arr < 0) | (q_arr >= 1)):
         raise DomainError("quantile level must lie in [0, 1)")
-    target = 1.0 - q_arr
+    low = q_arr < 0.5
+    high = ~low
+    target = np.where(low, q_arr, 1.0 - q_arr)
+
+    def too_small(x):
+        below = np.empty(x.shape, dtype=bool)
+        if low.any():
+            below[low] = ph_cdf(d, x[low]) < target[low]
+        if high.any():
+            below[high] = ph_sf(d, x[high]) > target[high]
+        return below
+
     hi = np.where(q_arr == 0.0, 0.0, max(ph_mean(d), 1e-3))
     out = _bisect_increasing(
-        lambda x: ph_sf(d, x) > target,
+        too_small,
         hi,
         DomainError("quantile bracket did not close; level too extreme"),
         rel_tol,

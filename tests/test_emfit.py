@@ -1,6 +1,7 @@
 """EM fitting: E-step statistics, monotonicity, closed-form agreement."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg as sla
 
 from iphfit.emfit import (
     FitConfig,
+    _estep,
     em_step,
     fit_erlang_rate,
     fit_ph_em,
@@ -18,6 +20,7 @@ from iphfit.emfit import (
 from iphfit.errors import (
     ConfigError,
     DegenerateStateWarning,
+    DomainError,
     ShiftError,
     ValidationError,
 )
@@ -25,6 +28,16 @@ from iphfit.families import ParetoExp, Power, ShiftedTransform, tph_pdf
 from iphfit.phcore import erlang_rep, ph_new, ph_pdf, ph_sample
 
 from oracles import random_probability, random_sub_intensity
+
+# the benchmark's fixed 5-phase law
+BASE_PI = np.array([0.5, 0.2, 0.15, 0.1, 0.05])
+BASE_T = np.array([
+    [-4.0, 2.0, 0.5, 0.0, 0.0],
+    [0.5, -3.0, 1.5, 0.5, 0.0],
+    [0.0, 0.5, -2.5, 1.0, 0.5],
+    [0.0, 0.0, 0.4, -2.0, 0.8],
+    [0.0, 0.0, 0.0, 0.3, -1.6],
+])
 
 
 def block_estep(d, ys):
@@ -78,9 +91,45 @@ def test_em_step_matches_block_oracle():
     assert np.max(np.abs(got.exit - want.exit)) < 1e-10
 
 
-def test_estep_mass_conservation():
-    from iphfit.emfit import _estep
+def test_em_step_matches_block_oracle_across_depth_bands():
+    # one fast state makes q = 105: q y runs from 1 to 680 over many depth
+    # bands, and the last datum's Poisson row is built in log space
+    T = np.array([[-100.0, 60.0, 30.0], [0.5, -2.0, 1.0], [0.2, 0.3, -1.0]])
+    d0 = ph_new([0.3, 0.3, 0.4], T)
+    ys = np.concatenate([np.random.default_rng(72).exponential(1.0, 60) + 0.01,
+                         [3.0, 5.0, 6.5]])
+    got = em_step(d0, ys)
+    want = block_mstep(d0, *block_estep(d0, ys)[:4], n=ys.size)
+    # rates up to 100: the same 1e-10 bound, relative to the largest
+    assert np.max(np.abs(got.T - want.T)) < 1e-8
+    assert np.max(np.abs(got.pi - want.pi)) < 1e-12
+    assert np.max(np.abs(got.exit - want.exit)) < 1e-8
 
+
+def test_zero_likelihood_names_the_datum_past_the_first_block():
+    ys = np.concatenate([np.linspace(0.1, 3.0, 50), [800.0]])
+    with pytest.raises(DomainError, match=r"y = 800\.0"):
+        em_step(erlang_rep(3, 2.0), ys)
+
+
+@pytest.mark.parametrize("u", [200.0, 400.0])
+def test_estep_heap_peak_is_bounded(u):
+    # 20000 points and one far datum: the full Poisson table would be
+    # 20001 x (K + 1) doubles, 63.6 MiB at u = 200
+    d = ph_new(BASE_PI, 0.25 * BASE_T)
+    ys = np.append(np.random.default_rng(82).gamma(2.0, 4.0, 20000), u)
+    uy, inv = np.unique(ys, return_inverse=True)
+    wt = np.bincount(inv).astype(float)
+    tracemalloc.start()
+    try:
+        _estep(d, uy, wt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_estep_mass_conservation():
     rng = np.random.default_rng(73)
     d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
     for y in (0.2, 1.0, 4.0, 11.0):

@@ -1,11 +1,13 @@
 """Phase-type core: representations, evaluators, moments, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
-from scipy.special import digamma
+from scipy.special import digamma, gammainc
 
 from iphfit.errors import (
     DomainError,
@@ -162,7 +164,7 @@ def test_pdf_integrates_to_cdf():
 
 
 def test_large_qx_route():
-    # rate * x far beyond the uniformization budget exercises the expm path
+    # rate * x far past _UNIF_MAX_QX: those Poisson weights come from log space
     d = erlang_rep(2, 50.0)
     xs = np.array([0.5, 20.0, 100.0])
     got = ph_pdf(d, xs)
@@ -170,6 +172,54 @@ def test_large_qx_route():
     m = want > 0
     assert np.max(np.abs(got[m] - want[m]) / want[m]) < 1e-10
     assert got[~m] == pytest.approx(0.0, abs=1e-300)
+
+
+def test_unsorted_points_across_the_log_space_cutoff():
+    # q x spans both sides of _UNIF_MAX_QX = 600 in one unsorted array
+    rng = np.random.default_rng(12)
+    d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
+    q = float(np.max(-np.diag(d.T)))
+    xs = rng.permutation(np.concatenate([
+        rng.uniform(0.0, 590.0 / q, 40), rng.uniform(610.0 / q, 900.0 / q, 40)
+    ]))
+    E = [sla.expm(d.T * x) for x in xs]
+    want_pdf = np.array([d.pi @ M @ d.exit for M in E])
+    want_sf = np.array([d.pi @ M @ d.close for M in E])
+    got_pdf, got_sf = ph_pdf(d, xs), ph_sf(d, xs)
+    assert np.max(np.abs(got_pdf - want_pdf) / want_pdf) < 1e-10
+    assert np.max(np.abs(got_sf - want_sf) / want_sf) < 1e-10
+    perm = rng.permutation(xs.size)
+    assert np.array_equal(ph_pdf(d, xs[perm]), got_pdf[perm])
+    assert np.array_equal(ph_sf(d, xs[perm]), got_sf[perm])
+    for fn in (ph_pdf, ph_sf, ph_cdf):
+        empty = fn(d, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_stiff_law_far_tail_matches_expm():
+    # q = 100 against a slowest decay of 0.01: q x reaches 5e5 while the
+    # survival is still 2e-22, so the whole series is needed
+    d = ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]])
+    xs = np.array([10.0, 1000.0, 5000.0])
+    want = np.array([d.pi @ sla.expm(d.T * x) @ np.ones(2) for x in xs])
+    assert np.max(np.abs(ph_sf(d, xs) - want) / want) < 1e-9
+
+
+def test_far_points_stop_where_the_law_has_decayed():
+    # q x > 1e9: a full Poisson row would take gigabytes; the series stops
+    # once pi P^k e falls below the smallest normal float
+    rng = np.random.default_rng(13)
+    d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
+    xs = np.array([1e9, 2.0])
+    tracemalloc.start()
+    try:
+        pdf, sf, cdf = ph_pdf(d, xs), ph_sf(d, xs), ph_cdf(d, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert pdf[0] == 0.0 and sf[0] == 0.0 and cdf[0] == pytest.approx(1.0, abs=1e-14)
+    assert cdf[1] + sf[1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_eval_rejects_bad_arguments():
@@ -249,6 +299,16 @@ def test_quantile_round_trip():
 def test_quantile_exponential_closed_form():
     d = erlang_rep(1, 2.0)
     assert ph_quantile(d, 0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-15, 1e-17])
+def test_quantile_keeps_digits_at_low_levels(q):
+    # abs=0: pytest.approx would otherwise accept anything within 1e-12
+    want = -math.log1p(-q)
+    assert ph_quantile(erlang_rep(1, 1.0), q) == pytest.approx(want, rel=1e-9, abs=0.0)
+    x = ph_quantile(erlang_rep(3, 2.0), q)
+    assert gammainc(3, 2.0 * x) == pytest.approx(q, rel=1e-9, abs=0.0)
+    assert ph_cdf(erlang_rep(3, 2.0), x) == pytest.approx(q, rel=1e-9, abs=0.0)
 
 
 def test_quantile_rejects_bad_levels():
