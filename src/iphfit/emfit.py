@@ -8,11 +8,13 @@ times, jump counts and exits per state.  All of them reduce to entries of
 
 where U(y) is the top-right block of the exponential of the 2p x 2p
 matrix [[T, t pi], [0, T]].  That block exponential is evaluated for the
-whole sample at once by uniformization: with q slightly above the largest
-exit rate, P = I + C/q is elementwise nonnegative, e^{Cy} is a Poisson
-mixture of its powers, and because the powers are block upper-triangular
-the per-point mixture collapses to one K-term reduction shared by every
-statistic.  One EM iteration costs O(K p^2) plus O(N K) Poisson weights,
+whole sample at once by uniformization: with q just above the largest
+exit rate (the same q as evaluation, ``phcore._unif_rate``), the 2p x 2p
+matrix M = [[P, t pi / q], [0, P]] with P = I + T/q is elementwise
+nonnegative, e^{Cy} is a Poisson mixture of its powers, and the
+per-point mixtures collapse to one matrix polynomial G = sum_k g_k M^k
+shared by every statistic.  One EM iteration costs O(sqrt K) products of
+2p x 2p matrices (Paterson-Stockmeyer) plus O(N K) Poisson weights,
 built and reduced in bounded row blocks over the ascending data, so each
 point only pays for the depth of its own block and no N x K table is
 held.  The blocks are reduced in a fixed order with fixed BLAS products,
@@ -30,6 +32,7 @@ baseline.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,7 +52,16 @@ from .families import (
     TransformedPH,
     tph_new,
 )
-from .phcore import PHDist, _poisson_blocks, _poisson_depth, erlang_rep, ph_new, ph_pdf
+from .phcore import (
+    PHDist,
+    _poisson_blocks,
+    _poisson_depth,
+    _unif_rate,
+    _unif_rows,
+    erlang_rep,
+    ph_new,
+    ph_pdf,
+)
 
 __all__ = [
     "FitConfig",
@@ -152,19 +164,11 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
     """
     pi, T, t = d.pi, d.T, d.exit
     p = d.dim
-    q = 1.05 * float(np.max(-np.diag(T)))
+    q = _unif_rate(T)
     P1 = np.eye(p) + T / q
     qy = q * ys
     K = int(_poisson_depth(qy[-1]))
-
-    # pi P1^k, P1^k t, and pi P1^k t for k = 0..K
-    R = np.empty((K + 1, p))
-    Cv = np.empty((K + 1, p))
-    R[0], Cv[0] = pi, t
-    for k in range(1, K + 1):
-        R[k] = R[k - 1] @ P1
-        Cv[k] = P1 @ Cv[k - 1]
-    fr = R @ t
+    fr = _unif_rows(pi, P1, K)[: K + 1] @ t  # pi P1^k t for k = 0..K
 
     # every statistic shares the same per-order weights g_k; blocks are
     # reduced in a fixed order, so the sums are bitwise repeatable
@@ -180,17 +184,41 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
             )
         loglik += float(np.log(f) @ wt[lo:hi])
         g[:Kc] += (wt[lo:hi] / f) @ W
-    starts = pi * (g @ Cv)
-    exits = t * (g @ R)
-    # U-block recurrence: S_k = S_{k-1} P1 + P1^{k-1} (t pi / q)
-    U = np.zeros((p, p))
-    S = np.zeros((p, p))
-    for k in range(1, K + 1):
-        S = S @ P1 + np.outer(Cv[k - 1], pi) / q
-        U += g[k] * S
+    # G = sum_k g_k M^k with M = [[P1, t pi / q], [0, P1]]: its top-left
+    # block is sum_k g_k P1^k, its top-right block is U
+    M = np.zeros((2 * p, 2 * p))
+    M[:p, :p] = M[p:, p:] = P1
+    M[:p, p:] = np.outer(t, pi) / q
+    G = _nonneg_polyval(g, M)
+    G11, U = G[:p, :p], G[:p, p:]
+    starts = pi * (G11 @ t)
+    exits = t * (pi @ G11)
     sojourn = np.diag(U).copy()
     jumps = T * U.T
     return starts, sojourn, jumps, exits, loglik
+
+
+def _nonneg_polyval(c: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_k c_k M^k by Paterson-Stockmeyer, about 2 sqrt(K) matrix products.
+
+    With s = ceil(sqrt(K + 1)) the powers I..M^{s-1} are stacked once; one
+    tensordot forms every chunk B_j = sum_i c_{js+i} M^i, and Horner's rule
+    in M^s adds them up.  For nonnegative c and M every term is
+    nonnegative, so nothing cancels, and the order of the sums is fixed.
+    """
+    s = math.isqrt(c.size - 1) + 1
+    powers = np.empty((s, *M.shape))
+    powers[0] = np.eye(M.shape[0])
+    for i in range(1, s):
+        powers[i] = powers[i - 1] @ M
+    Ms = powers[-1] @ M
+    chunks = np.zeros(-(-c.size // s) * s)
+    chunks[: c.size] = c
+    B = np.tensordot(chunks.reshape(-1, s), powers, axes=1)
+    G = B[-1]
+    for j in range(B.shape[0] - 2, -1, -1):
+        G = G @ Ms + B[j]
+    return G
 
 
 def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):

@@ -34,9 +34,9 @@ from .errors import (
 from .matfun import check_sub_intensity, mat_fun
 from .phcore import (
     PHDist,
-    _bisect_increasing,
     _check_points,
     _condition,
+    _solve_increasing,
     ph_pdf,
     ph_sample,
     ph_sf,
@@ -77,8 +77,9 @@ class RateFunction:
     ``primitive`` is R(x) = int_0^x rate(t) dt; when no closed form is
     supplied an adaptive-quadrature fallback is used.  ``inverse_primitive``
     is the transform g = R^{-1} when known; otherwise inversion falls back
-    to bracketed bisection at 1e-10 relative tolerance.  Build through
-    :func:`rate_function`, which validates positivity on a log-spaced grid.
+    to a bracketed false-position solve at 1e-10 relative tolerance.
+    Build through :func:`rate_function`, which validates positivity on a
+    log-spaced grid.
     Callables must be side-effect-free; vectorized evaluation assumes it.
     """
 
@@ -105,16 +106,20 @@ class RateFunction:
         return self._invert(y)
 
     def _invert(self, y):
-        """Monotone bracketed bisection for R(x) = y, 1e-10 relative."""
+        """Root of R(x) = y at 1e-10 relative, by the bracketing solver of phcore."""
         scalar = y.ndim == 0
         y = np.atleast_1d(y).astype(float)
         if np.any(y < 0):
             raise DomainError("primitive values are nonnegative; cannot invert below 0")
-        out = _bisect_increasing(
-            lambda x: self.primitive_at(x) < y,
-            np.where(y == 0.0, 0.0, 1.0),
-            NonConvergenceError("inversion bracket did not close"),
-        )
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        if pos.any():
+            out[pos] = _solve_increasing(
+                self.primitive_at,
+                y[pos],
+                1.0,
+                NonConvergenceError("inversion bracket did not close"),
+            )
         return float(out[0]) if scalar else out
 
 

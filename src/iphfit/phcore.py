@@ -24,7 +24,14 @@ is a positive series of its own), and for non-Markov representations an
 eigen-decomposition, with per-point matrix exponentials when the
 eigenvectors are ill-conditioned.  Uniformization sorts the points once
 and reduces blocks of Poisson weights (``_poisson_blocks``, shared with
-the EM E-step) against one coefficient vector, at every q x.
+the EM E-step, as are the rate ``_unif_rate`` and the doubled rows
+``_unif_rows``) against one coefficient vector, at every q x.
+
+Quantiles, and the inverse primitives of ``iph``, come from one
+root-finder, ``_solve_increasing``: one geometric grid of four points per
+octave brackets every level at once, then Anderson-Bjorck regula falsi,
+with a bisection safeguard, refines only the brackets still open; a
+level costs about five evaluations.
 """
 
 from __future__ import annotations
@@ -81,6 +88,12 @@ _UNIF_MAX_QX = 600.0
 _BLOCK_ENTRIES = 1 << 19
 
 _TINY = float(np.finfo(float).tiny)
+
+# root finding (_solve_increasing): bracketing grid points per octave, and
+# the false-position steps a bracket may take without halving before one
+# bisection step is forced
+_GRID_PER_OCTAVE = 4
+_STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -295,6 +308,25 @@ def _poisson_blocks(qx: np.ndarray, max_depth=None):
         lo = hi
 
 
+def _unif_rate(T: np.ndarray) -> float:
+    """Uniformization rate q, just above the largest exit rate, so that
+    P = I + T / q is elementwise nonnegative."""
+    return 1.0000001 * float(np.max(-np.diag(T)))
+
+
+def _unif_rows(pi: np.ndarray, P: np.ndarray, n: int, vanished: float = 0.0) -> np.ndarray:
+    """Rows pi P^k for k = 0, 1, ..., by doubling (O(log n) matrix products).
+
+    Returns at least n + 1 rows, or fewer once a row sums below
+    ``vanished``; every product is of nonnegative matrices.
+    """
+    R, Pk = pi[None, :], P
+    while R.shape[0] <= n and R[-1].sum() >= vanished:
+        R = np.vstack([R, R @ Pk])
+        Pk = Pk @ Pk
+    return R
+
+
 def _unif_action(pi, T, v, xs, cumulative=False):
     """Uniformization series sum_k Pois(k; qx) a_k with a_k = pi P^k v.
 
@@ -308,19 +340,16 @@ def _unif_action(pi, T, v, xs, cumulative=False):
     series stops there and its tail is the last coefficient times the
     Poisson tail mass: far points cost no more than the law's own decay.
     """
-    q = 1.0000001 * float(np.max(-np.diag(T)))
+    q = _unif_rate(T)
     qx = q * xs
     order = np.argsort(qx, kind="stable")
     qx = qx[order]
     P = np.eye(len(pi)) + T / q
-    # rows pi P^k by doubling; P is substochastic, so once a row sums below
-    # `vanished` no later a_k = pi P^k v exceeds the smallest normal float
+    # P is substochastic, so once a row sums below `vanished` no later
+    # a_k = pi P^k v exceeds the smallest normal float
     vanished = _TINY / max(float(np.max(v)), 1.0)
     n = int(_poisson_depth(qx[-1])) + 1 if qx.size else 0
-    R, Pk = pi[None, :], P
-    while R.shape[0] <= n and R[-1].sum() >= vanished:
-        R = np.vstack([R, R @ Pk])
-        Pk = Pk @ Pk
+    R = _unif_rows(pi, P, n, vanished)
     small = np.flatnonzero(R.sum(axis=1) < vanished)
     stopped = small.size > 0 and small[0] <= n
     if stopped:
@@ -438,62 +467,123 @@ def _condition(base: PHDist, u: float, where: str) -> PHDist:
 # quantiles
 # ---------------------------------------------------------------------------
 
-def _bisect_increasing(too_small, hi: np.ndarray, fail: Exception, rel_tol: float = 1e-10):
-    """Per-entry root of a monotone predicate: the x where too_small(x) turns false.
+def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: float = 1e-10):
+    """Per-entry root of h(x) = c[i] for a nondecreasing, vectorised h on x > 0.
 
-    ``hi`` is doubled where the predicate still holds (``fail`` is raised
-    after 200 doublings), then [0, hi] is bisected until every bracket is
-    within ``rel_tol`` of its upper end.  Entries starting at hi = 0 stay 0.
+    One lower and one upper bound for every entry come from halving and
+    doubling x0 (``fail`` is raised after 200 doublings, or if halving
+    reaches 0); h is then evaluated once on a geometric grid of
+    _GRID_PER_OCTAVE points per octave between them, which brackets every
+    entry.  Brackets are refined by Anderson-Bjorck regula falsi, each pass
+    evaluating h only at the entries still open, with a bisection step
+    wherever a bracket has not halved within _STALL_STEPS steps.  An entry
+    is done once its bracket is within ``rel_tol`` of its upper end; the
+    midpoint is returned.  h(x) < c[i] is "below the root", so infinite
+    values of h are allowed.
     """
+    cmin, cmax = float(np.min(c)), float(np.max(c))
+    h0 = float(h(np.array([x0]))[0])
+    lo, h_lo = x0, h0
+    while not h_lo < cmin:
+        lo *= 0.5
+        if lo == 0.0:
+            raise fail
+        h_lo = float(h(np.array([lo]))[0])
+    hi, h_hi = x0, h0
     for _ in range(200):
-        mask = too_small(hi)
-        if not np.any(mask):
+        if h_hi >= cmax:
             break
-        hi[mask] *= 2.0
+        hi *= 2.0
+        h_hi = float(h(np.array([hi]))[0])
     else:
         raise fail
-    lo = np.zeros_like(hi)
+    n = max(2, math.ceil(_GRID_PER_OCTAVE * (math.log2(hi) - math.log2(lo))) + 1)
+    grid = np.geomspace(lo, hi, n)
+    hs = np.concatenate([[h_lo], h(grid[1:-1]), [h_hi]])
+    # first grid point at or above each target; hs may wobble by round-off
+    i = np.searchsorted(np.maximum.accumulate(hs), c, side="left")
+    a, b = grid[i - 1], grid[i]
+    fa, fb = hs[i - 1] - c, hs[i] - c
+
+    out = np.empty_like(c)
+    idx = np.arange(c.size)
+    side = np.zeros(c.size, dtype=np.int64)  # end the last point replaced: -1 a, 1 b
+    ref = b - a  # width when the bracket last halved
+    age = np.zeros(c.size, dtype=np.int64)  # steps since then
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = too_small(mid)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= rel_tol * np.maximum(hi, 1e-300)):
-            break
-    return 0.5 * (lo + hi)
+        done = b - a <= rel_tol * b
+        if done.any():
+            out[idx[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            idx, c, a, b, fa, fb = idx[keep], c[keep], a[keep], b[keep], fa[keep], fb[keep]
+            side, ref, age = side[keep], ref[keep], age[keep]
+        if not idx.size:
+            return out
+        # false position where both ends are finite, else bisection
+        den = fb - fa
+        secant = (age < _STALL_STEPS) & np.isfinite(den) & (den > 0.0)
+        t = np.divide(-fa, den, out=np.full(idx.size, 0.5), where=secant)
+        # a step of at least a fraction of the tolerance from either end, so
+        # a point landing next to the root closes its bracket
+        step = 0.4 * rel_tol * b
+        x = np.clip(a + t * (b - a), a + step, b - step)
+        fx = h(x) - c
+        below = fx < 0.0
+        # Anderson-Bjorck: an end kept twice in a row has its value scaled
+        # by 1 - fx / f(replaced end), or halved if that is not positive
+        new_side = np.where(below, -1, 1)
+        replaced = np.where(below, fa, fb)
+        valid = np.isfinite(fx) & np.isfinite(replaced) & (replaced != 0.0)
+        ratio = np.divide(fx, replaced, out=np.ones(idx.size), where=valid)
+        m = np.where(side == new_side, np.where(ratio < 1.0, 1.0 - ratio, 0.5), 1.0)
+        fa = np.where(below, fx, fa * m)
+        fb = np.where(below, fb * m, fx)
+        a = np.where(below, x, a)
+        b = np.where(below, b, x)
+        side = new_side
+        width = b - a
+        halved = width <= 0.5 * ref
+        ref = np.where(halved, width, ref)
+        age = np.where(halved, 0, age + 1)
+    out[idx] = 0.5 * (a + b)
+    return out
 
 
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
-    """Quantile by bisection; the bracket grows by doubling.
+    """Quantile: the midpoint of a bracket within ``rel_tol`` of its upper end.
 
-    Levels below 1/2 bisect on ph_cdf(x) < q, the rest on ph_sf(x) > 1 - q,
-    so neither tail loses its digits to 1 - q rounding.
+    Levels below 1/2 solve log ph_cdf(x) = log q, the rest
+    -log ph_sf(x) = -log(1 - q), so neither tail loses its digits to
+    1 - q rounding (ph_cdf is only called for levels below 1/2).  Each
+    group goes through ``_solve_increasing`` at once: halving and doubling
+    from the mean give one lower and one upper bound, one geometric grid
+    of four points per octave between them brackets every level, and
+    Anderson-Bjorck regula falsi with a bisection safeguard refines the
+    open brackets, about five evaluations per level.  Level 0 gives 0.
     """
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
     if np.any((q_arr < 0) | (q_arr >= 1)):
         raise DomainError("quantile level must lie in [0, 1)")
-    low = q_arr < 0.5
-    high = ~low
-    target = np.where(low, q_arr, 1.0 - q_arr)
-
-    def too_small(x):
-        below = np.empty(x.shape, dtype=bool)
+    out = np.zeros_like(q_arr)
+    low = (q_arr > 0.0) & (q_arr < 0.5)
+    high = q_arr >= 0.5
+    if low.any() or high.any():
+        x0 = ph_mean(d)
+        fail = DomainError("quantile bracket did not close; level too extreme")
         if low.any():
-            below[low] = ph_cdf(d, x[low]) < target[low]
+            out[low] = _solve_increasing(
+                lambda x: _log(ph_cdf(d, x)), np.log(q_arr[low]), x0, fail, rel_tol)
         if high.any():
-            below[high] = ph_sf(d, x[high]) > target[high]
-        return below
-
-    hi = np.where(q_arr == 0.0, 0.0, max(ph_mean(d), 1e-3))
-    out = _bisect_increasing(
-        too_small,
-        hi,
-        DomainError("quantile bracket did not close; level too extreme"),
-        rel_tol,
-    )
+            out[high] = _solve_increasing(
+                lambda x: -_log(ph_sf(d, x)), -np.log(1.0 - q_arr[high]), x0, fail, rel_tol)
     return float(out[0]) if scalar else out
+
+
+def _log(v: np.ndarray) -> np.ndarray:
+    """Natural log with log 0 = -inf, without a divide warning."""
+    return np.log(v, out=np.full(v.shape, -np.inf), where=v > 0.0)
 
 
 # ---------------------------------------------------------------------------

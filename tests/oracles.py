@@ -2,8 +2,9 @@
 
 Nothing here touches the production numerics: matrix exponentials come
 from a high-precision Taylor series, general matrix functions from a
-contour quadrature, product integrals from a coarse left-product, and
-the scalar family densities are typed in from their closed forms.
+contour quadrature, product integrals from a coarse left-product, the
+EM E-step from the plain K-step uniformization recurrences, and the
+scalar family densities are typed in from their closed forms.
 """
 
 from __future__ import annotations
@@ -86,6 +87,60 @@ def quad_upper_gamma_matrix(T, s: float, upper: float = 400.0, steps: int = 2000
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return np.tensordot(w, vals, axes=(0, 0)) * h / 3.0
+
+
+# ---------------------------------------------------------------------------
+# E-step oracle (step-by-step uniformization recurrences)
+# ---------------------------------------------------------------------------
+
+def poisson_row(mu: float, K: int):
+    """Poisson(mu) pmf at k = 0..K: the mode term from mpmath at 30 digits,
+    the rest by ratio products outward from it."""
+    m = min(int(mu), K)
+    with mpmath.workdps(30):
+        wm = float(mpmath.exp(m * mpmath.log(mu) - mu - mpmath.loggamma(m + 1)))
+    ks = np.arange(K + 1, dtype=float)
+    row = np.empty(K + 1)
+    row[m] = wm
+    row[m + 1:] = wm * np.cumprod(mu / ks[m + 1:])
+    row[:m] = wm * np.cumprod((ks[1 : m + 1] / mu)[::-1])[::-1]
+    return row
+
+
+def recurrence_estep(d, ys, wt):
+    """E-step statistics from the K-step recurrences of the uniformized chain.
+
+    With q = 1.05 times the largest exit rate (a different q from the
+    production code, whose statistics must not depend on it) and P = I + T/q:
+    R_k = pi P^k, C_k = P^k t and S_k = S_{k-1} P + C_{k-1} pi / q (the
+    top-right block of the k-th power of [[P, t pi / q], [0, P]]), each run
+    one step at a time.  Poisson weights come from ``poisson_row``.
+    Returns (starts, sojourn, jumps, exits, loglik).
+    """
+    pi, T, t = d.pi, d.T, d.exit
+    p = T.shape[0]
+    ys = np.asarray(ys, dtype=float)
+    wt = np.asarray(wt, dtype=float)
+    q = 1.05 * float(np.max(-np.diag(T)))
+    P = np.eye(p) + T / q
+    K = int(q * ys.max() + 12.0 * math.sqrt(q * ys.max()) + 30.0)
+    R = np.empty((K + 1, p))
+    C = np.empty((K + 1, p))
+    R[0], C[0] = pi, t
+    for k in range(1, K + 1):
+        R[k] = R[k - 1] @ P
+        C[k] = P @ C[k - 1]
+    W = np.array([poisson_row(q * y, K) for y in ys])
+    f = W @ (R @ t)
+    g = (wt / f) @ W
+    U = np.zeros((p, p))
+    S = np.zeros((p, p))
+    for k in range(1, K + 1):
+        S = S @ P + np.outer(C[k - 1], pi) / q
+        U += g[k] * S
+    starts = pi * (g @ C)
+    exits = t * (g @ R)
+    return starts, np.diag(U).copy(), T * U.T, exits, float(np.log(f) @ wt)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from iphfit.errors import (
 from iphfit.families import ParetoExp, Power, ShiftedTransform, tph_pdf
 from iphfit.phcore import erlang_rep, ph_new, ph_pdf, ph_sample
 
-from oracles import random_probability, random_sub_intensity
+from oracles import random_probability, random_sub_intensity, recurrence_estep
 
 # the benchmark's fixed 5-phase law
 BASE_PI = np.array([0.5, 0.2, 0.15, 0.1, 0.05])
@@ -104,6 +104,22 @@ def test_em_step_matches_block_oracle_across_depth_bands():
     assert np.max(np.abs(got.T - want.T)) < 1e-8
     assert np.max(np.abs(got.pi - want.pi)) < 1e-12
     assert np.max(np.abs(got.exit - want.exit)) < 1e-8
+
+
+@pytest.mark.parametrize("y_max", [0.002, 0.05, 0.5, 5.0, 40.0])
+def test_estep_matches_step_by_step_recurrences(y_max):
+    # q is about 100, so the depth K of the largest datum runs from about
+    # 35 (q y = 0.2) to about 4800 (q y = 4000)
+    T = np.array([[-100.0, 60.0, 30.0], [0.5, -2.0, 1.0], [0.2, 0.3, -1.0]])
+    d = ph_new([0.3, 0.3, 0.4], T)
+    rng = np.random.default_rng(74)
+    ys = np.unique(np.append(rng.uniform(0.0005, y_max, 40), y_max))
+    wt = rng.integers(1, 4, ys.size).astype(float)
+    got = _estep(d, ys, wt)
+    want = recurrence_estep(d, ys, wt)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
 
 
 def test_zero_likelihood_names_the_datum_past_the_first_block():

@@ -71,10 +71,22 @@ def test_rate_function_validation():
 
 
 def test_rate_function_numeric_fallbacks():
-    # only the rate given: primitive by quadrature, inverse by bisection
+    # only the rate given: primitive by quadrature, inverse by root finding
     r = rate_function(lambda t: 2.0 * t + 1.0, name="affine")
     assert r.primitive_at(2.0) == pytest.approx(6.0, rel=1e-9)
     assert r.inverse_at(6.0) == pytest.approx(2.0, rel=1e-8)
+
+
+def test_quadrature_primitive_inverts_to_its_argument():
+    # no closed form for either map: R by quadrature, R^{-1} by the solver
+    r = rate_function(lambda t: 2.0 * t + 1.0 + np.sin(t) ** 2, name="wiggly")
+    assert r.primitive is None and r.inverse_primitive is None
+    xs = np.array([0.0, 1e-6, 0.3, 1.0, 4.2, 37.0])
+    back = r.inverse_at(r.primitive_at(xs))
+    assert back[0] == 0.0
+    np.testing.assert_allclose(back[1:], xs[1:], rtol=1e-9)
+    assert r.inverse_at(0.0) == 0.0
+    assert r.inverse_at(float(r.primitive_at(4.2))) == pytest.approx(4.2, rel=1e-9)
 
 
 def test_builtin_rates_round_trip():

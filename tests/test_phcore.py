@@ -14,6 +14,7 @@ from iphfit.errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
+import iphfit.phcore as phcore
 from iphfit.phcore import (
     erlang_rep,
     gen_erlang_rep,
@@ -309,6 +310,73 @@ def test_quantile_keeps_digits_at_low_levels(q):
     x = ph_quantile(erlang_rep(3, 2.0), q)
     assert gammainc(3, 2.0 * x) == pytest.approx(q, rel=1e-9, abs=0.0)
     assert ph_cdf(erlang_rep(3, 2.0), x) == pytest.approx(q, rel=1e-9, abs=0.0)
+
+
+def _birth_death(n=20):
+    """n-phase birth-death chain started in phase 0, absorbed from the last."""
+    T = np.zeros((n, n))
+    for i in range(n):
+        if i + 1 < n:
+            T[i, i + 1] = 1.0 + 0.1 * i
+        if i > 0:
+            T[i, i - 1] = 0.5
+        T[i, i] = -(T[i].sum() + (0.3 if i == n - 1 else 0.0))
+    return ph_new(np.eye(n)[0], T)
+
+
+# Erlang(3, 2), the benchmark's 5-phase law, a 20-phase birth-death chain,
+# and a stiff law (largest rate 1e4 times the slowest decay)
+QUANTILE_LAWS = {
+    "erlang": lambda: erlang_rep(3, 2.0),
+    "bench5": lambda: ph_new(
+        [0.5, 0.2, 0.15, 0.1, 0.05],
+        [[-4.0, 2.0, 0.5, 0.0, 0.0],
+         [0.5, -3.0, 1.5, 0.5, 0.0],
+         [0.0, 0.5, -2.5, 1.0, 0.5],
+         [0.0, 0.0, 0.4, -2.0, 0.8],
+         [0.0, 0.0, 0.0, 0.3, -1.6]]),
+    "birth_death": _birth_death,
+    "stiff": lambda: ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]]),
+}
+
+
+def _tail_levels(n):
+    """n levels from 1e-17 to 1 - 1e-12, geometric in both tails."""
+    return np.concatenate([np.geomspace(1e-17, 0.49, n // 2),
+                           1.0 - np.geomspace(0.5, 1e-12, n - n // 2)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS))
+def test_quantile_brackets_its_level(law):
+    d = QUANTILE_LAWS[law]()
+    rel_tol = 1e-10
+    qs = _tail_levels(60)
+    xs = ph_quantile(d, qs, rel_tol=rel_tol)
+    below, above = xs * (1.0 - 2.0 * rel_tol), xs * (1.0 + 2.0 * rel_tol)
+    low = qs < 0.5
+    assert np.all(ph_cdf(d, below[low]) < qs[low])
+    assert np.all(qs[low] <= ph_cdf(d, above[low]))
+    assert np.all(ph_sf(d, below[~low]) > 1.0 - qs[~low])
+    assert np.all(1.0 - qs[~low] >= ph_sf(d, above[~low]))
+
+
+@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS))
+def test_quantile_evaluates_few_points_per_level(law, monkeypatch):
+    # bisection from [0, hi] evaluated 42-102 points per level on these laws;
+    # the stiff law's far levels cost O(q x) each, so it gets fewer levels
+    n = 200 if law == "stiff" else 20000
+    d = QUANTILE_LAWS[law]()
+    seen = [0]
+    action = phcore._unif_action
+
+    def counting(pi, T, v, xs, cumulative=False):
+        seen[0] += np.size(xs)
+        return action(pi, T, v, xs, cumulative)
+
+    monkeypatch.setattr(phcore, "_unif_action", counting)
+    ph_quantile(d, _tail_levels(n))
+    assert seen[0] <= 12 * n
 
 
 def test_quantile_rejects_bad_levels():
