@@ -473,15 +473,17 @@ def main(argv=None) -> int:
             print(eval_cmd(args.params, args.query, args.at))
             return EXIT_OK
         if args.verb == "sample":
+            if args.count < 0:
+                raise ConfigError(f"count must be nonnegative, got {args.count}")
             model = load_model(args.params)
             draws = tph_sample(model, np.random.default_rng(args.seed), args.count)
-            text = "\n".join(format(float(v), ".17g") for v in draws)
+            text = "".join(format(float(v), ".17g") + "\n" for v in draws)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
+                    fh.write(text)
                 print(f"wrote {args.out}")
             else:
-                print(text)
+                print(text, end="")
             return EXIT_OK
         checks = _oracle_checks()
         ok = True

@@ -8,18 +8,23 @@ times, jump counts and exits per state.  All of them reduce to entries of
 
 where U(y) is the top-right block of the exponential of the 2p x 2p
 matrix [[T, t pi], [0, T]].  That block exponential is evaluated for the
-whole sample at once by uniformization: with q just above the largest
-exit rate (the same q as evaluation, ``phcore._unif_rate``), the 2p x 2p
+whole sample at once by uniformization: with q at or above the largest
+exit rate (at first the q of evaluation, ``phcore._unif_rate``), the 2p x 2p
 matrix M = [[P, t pi / q], [0, P]] with P = I + T/q is elementwise
 nonnegative, e^{Cy} is a Poisson mixture of its powers, and the
 per-point mixtures collapse to one matrix polynomial G = sum_k g_k M^k
 shared by every statistic.  One EM iteration costs O(sqrt K) products of
-2p x 2p matrices (Paterson-Stockmeyer) plus O(N K) Poisson weights,
-built and reduced in bounded row blocks over the ascending data, so each
-point only pays for the depth of its own block and no N x K table is
-held.  The blocks are reduced in a fixed order with fixed BLAS products,
-so a fit is bitwise reproducible for a given input and BLAS thread
-count; there is no separate "ordered" mode.
+2p x 2p matrices (Paterson-Stockmeyer) plus an O(N K) reduction of the
+Poisson weights, laid out in bounded row blocks over the ascending data,
+so each point only pays for the depth of its own block.  The weights
+depend only on q y and any q at or above the largest exit rate is exact,
+so a fit builds them once and reuses them while later rates stay in
+[q/2, q] (a larger q only lengthens the series), rebuilding at an
+iterate's own rate otherwise.  A table over the one-buffer budget of
+``phcore._poisson_blocks`` is streamed afresh each iteration instead, so
+no N x K table is held.  The blocks are reduced in a fixed order with
+fixed BLAS products, so a fit is bitwise reproducible for a given input
+and BLAS thread count; there is no separate "ordered" mode.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -154,27 +159,40 @@ def ph_loglik(d: PHDist, data) -> float:
 # E-step
 # ---------------------------------------------------------------------------
 
-def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray):
+def _poisson_table(ys: np.ndarray, q: float):
+    """(q, blocks): the Poisson blocks of q * ys, all held at once, or None
+    when together they pass the one-buffer budget of ``_poisson_blocks``."""
+    kept, blocks = _poisson_blocks(q * ys, keep=True)
+    return (q, list(blocks)) if kept else None
+
+
+def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     """Aggregated E-step statistics and the current log-likelihood.
 
     ``ys`` must be ascending (np.unique output), as the Poisson block
-    builder needs.  Returns (starts, sojourn, jumps, exits, loglik);
-    starts/sojourn/exits are per-state sums over the weighted sample,
-    jumps is the p x p matrix of expected transition counts.
+    builder needs.  ``table`` is a ``_poisson_table`` of ``ys`` built at any
+    rate q >= _unif_rate(T); the depth K, the rows pi P^k t and M all use
+    that q.  Without one, the blocks are streamed at _unif_rate(T).
+    Returns (starts, sojourn, jumps, exits, loglik); starts/sojourn/exits
+    are per-state sums over the weighted sample, jumps is the p x p matrix
+    of expected transition counts.
     """
     pi, T, t = d.pi, d.T, d.exit
     p = d.dim
-    q = _unif_rate(T)
+    if table is None:
+        q = _unif_rate(T)
+        blocks = _poisson_blocks(q * ys)[1]
+    else:
+        q, blocks = table
     P1 = np.eye(p) + T / q
-    qy = q * ys
-    K = int(_poisson_depth(qy[-1]))
+    K = int(_poisson_depth(q * ys[-1]))
     fr = _unif_rows(pi, P1, K)[: K + 1] @ t  # pi P1^k t for k = 0..K
 
     # every statistic shares the same per-order weights g_k; blocks are
     # reduced in a fixed order, so the sums are bitwise repeatable
     g = np.zeros(K + 1)
     loglik = 0.0
-    for lo, hi, W in _poisson_blocks(qy):
+    for lo, hi, W in blocks:
         Kc = W.shape[1]
         f = W @ fr[:Kc]
         if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
@@ -302,12 +320,22 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
         rng = np.random.default_rng(config.seed)
         current = _random_init(config.phases, float(ys.mean()), rng)
 
+    table = None
+
+    def estep(d):
+        nonlocal table
+        rate = _unif_rate(d.T)
+        if table is None or not table[0] / 2 <= rate <= table[0]:
+            table = None  # free the old buffer before the next is built
+            table = _poisson_table(uy, rate)
+        return _estep(d, uy, wt, table)
+
     trace: list[float] = []
     notes: list[str] = []
     converged = False
     iters = 0
     for _ in range(config.max_iters):
-        starts, sojourn, jumps, exits, ll = _estep(current, uy, wt)
+        starts, sojourn, jumps, exits, ll = estep(current)
         trace.append(ll)
         if len(trace) >= 2:
             prev = trace[-2]
@@ -325,7 +353,7 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
         iters += 1
     else:
         # final loglik of the last iterate
-        *_, ll = _estep(current, uy, wt)
+        *_, ll = estep(current)
         trace.append(ll)
 
     norm = float(np.max(np.abs(current.T)))

@@ -264,48 +264,61 @@ def _poisson_depth(qx):
     return (qx + 12.0 * np.sqrt(qx) + 30.0).astype(np.int64)
 
 
-def _poisson_blocks(qx: np.ndarray, max_depth=None):
-    """Poisson(qx) pmf tables over ascending qx, one row block at a time.
+def _poisson_blocks(qx: np.ndarray, max_depth=None, keep=False):
+    """Poisson(qx) pmf tables over ascending qx, in row blocks.
 
-    Yields (lo, hi, W): W is the column-major table of rows lo:hi over
-    k = 0..K, with K the depth of the block's largest qx (at most
-    ``max_depth``), so every row keeps all but a negligible tail.  A block
-    ends where the depth doubles or the table would pass _BLOCK_ENTRIES,
-    whichever comes first (at least one row), so memory stays bounded and
-    small points never pay for the depth of a far one.  Every block is
-    written into one reused buffer: reduce W before taking the next block.
-    Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence; the
-    rest are built in log space.
+    Returns (kept, blocks); ``blocks`` yields (lo, hi, W), W the
+    column-major table of rows lo:hi over k = 0..K, with K the depth of
+    the block's largest qx (at most ``max_depth``), so every row keeps all
+    but a negligible tail.  A block ends where the depth doubles or the
+    table would pass _BLOCK_ENTRIES, whichever comes first (at least one
+    row), so small points never pay for the depth of a far one.  All blocks
+    share one buffer.  With ``keep``, and when they fit _BLOCK_ENTRIES
+    together (``kept``), they lie end to end in it and stay valid together,
+    so the whole table can be held; otherwise each block overwrites the
+    last, touching no more memory than the largest block: reduce W before
+    taking the next.  Rows with qx <= _UNIF_MAX_QX use the stable forward
+    recurrence; the rest are built in log space.
     """
     depth = _poisson_depth(qx)
     if max_depth is not None:
         depth = np.minimum(depth, max_depth)
-    # one buffer for every block: the budget, or the longest single row
-    row = int(depth[-1]) + 1 if qx.size else 0
-    buf = np.empty(max(min(_BLOCK_ENTRIES, qx.size * row), row))
+    bounds = []
     lo = 0
     while lo < qx.size:
         hi = int(np.searchsorted(depth, 2 * depth[lo], side="right"))
         hi = min(hi, lo + max(1, _BLOCK_ENTRIES // (int(depth[hi - 1]) + 1)))
-        K = int(depth[hi - 1])
-        W = buf[: (hi - lo) * (K + 1)].reshape((hi - lo, K + 1), order="F")
-        n = int(np.searchsorted(qx[lo:hi], _UNIF_MAX_QX, side="right"))
-        if n:
-            Ws, qs = W[:n], qx[lo : lo + n]
-            Ws[:, 0] = np.exp(-qs)
-            for k in range(1, K + 1):
-                np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
-                Ws[:, k] /= k
-        if n < hi - lo:
-            ks = np.arange(K + 1.0)
-            qb = qx[lo + n : hi]
-            Wb = W[n:]
-            np.multiply.outer(np.log(qb), ks, out=Wb)
-            Wb -= qb[:, None]
-            Wb -= gammaln(ks + 1.0)
-            np.exp(Wb, out=Wb)
-        yield lo, hi, W
+        bounds.append((lo, hi, int(depth[hi - 1])))
         lo = hi
+    sizes = [(hi - lo) * (K + 1) for lo, hi, K in bounds]
+    kept = keep and sum(sizes) <= _BLOCK_ENTRIES
+    # one buffer for every block: the budget, or the longest single row
+    row = int(depth[-1]) + 1 if qx.size else 0
+
+    def blocks():
+        buf = np.empty(max(min(_BLOCK_ENTRIES, qx.size * row), row))
+        at = 0
+        for (lo, hi, K), size in zip(bounds, sizes):
+            W = buf[at : at + size].reshape((hi - lo, K + 1), order="F")
+            at += size if kept else 0
+            n = int(np.searchsorted(qx[lo:hi], _UNIF_MAX_QX, side="right"))
+            if n:
+                Ws, qs = W[:n], qx[lo : lo + n]
+                Ws[:, 0] = np.exp(-qs)
+                for k in range(1, K + 1):
+                    np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
+                    Ws[:, k] /= k
+            if n < hi - lo:
+                ks = np.arange(K + 1.0)
+                qb = qx[lo + n : hi]
+                Wb = W[n:]
+                np.multiply.outer(np.log(qb), ks, out=Wb)
+                Wb -= qb[:, None]
+                Wb -= gammaln(ks + 1.0)
+                np.exp(Wb, out=Wb)
+            yield lo, hi, W
+
+    return kept, blocks()
 
 
 def _unif_rate(T: np.ndarray) -> float:
@@ -360,7 +373,7 @@ def _unif_action(pi, T, v, xs, cumulative=False):
         coeffs[0] = 0.0
     tail = coeffs[n] if stopped else 0.0
     out = np.empty_like(xs)
-    for lo, hi, W in _poisson_blocks(qx, n - 1):
+    for lo, hi, W in _poisson_blocks(qx, n - 1)[1]:
         s = W @ coeffs[: W.shape[1]]
         if tail and W.shape[1] == n:
             s += tail * pdtrc(n - 1, qx[lo:hi])

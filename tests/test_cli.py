@@ -237,6 +237,24 @@ def test_main_sample_deterministic(tmp_path, capsys):
     assert len(first.strip().splitlines()) == 5
 
 
+def test_main_sample_rejects_a_negative_count_before_loading(tmp_path, capsys):
+    # the params file does not exist: the count is checked first
+    absent = tmp_path / "absent.json"
+    assert main(["sample", "--params", str(absent), "--count", "-3"]) == EXIT_CONFIG
+    assert "count must be nonnegative" in capsys.readouterr().err
+
+
+def test_main_sample_zero_draws_write_nothing(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    save_model(tph_new(erlang_rep(2, 1.5), ParetoExp()), path)
+    out = tmp_path / "draws.txt"
+    assert main(["sample", "--params", str(path), "--count", "0", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == b""
+    capsys.readouterr()
+    assert main(["sample", "--params", str(path), "--count", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
 def test_main_oracle_check(capsys):
     assert main(["oracle-check"]) == EXIT_OK
     out = capsys.readouterr().out

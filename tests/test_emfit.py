@@ -11,6 +11,8 @@ import scipy.linalg as sla
 from iphfit.emfit import (
     FitConfig,
     _estep,
+    _poisson_table,
+    _random_init,
     em_step,
     fit_erlang_rate,
     fit_ph_em,
@@ -25,7 +27,7 @@ from iphfit.errors import (
     ValidationError,
 )
 from iphfit.families import ParetoExp, Power, ShiftedTransform, tph_pdf
-from iphfit.phcore import erlang_rep, ph_new, ph_pdf, ph_sample
+from iphfit.phcore import _poisson_blocks, _unif_rate, erlang_rep, ph_new, ph_pdf, ph_sample
 
 from oracles import random_probability, random_sub_intensity, recurrence_estep
 
@@ -122,10 +124,62 @@ def test_estep_matches_step_by_step_recurrences(y_max):
     assert got[4] == pytest.approx(want[4], rel=1e-12)
 
 
+@pytest.mark.parametrize("y_max", [0.002, 0.05, 0.5, 5.0, 40.0])
+def test_estep_with_a_kept_table_matches_step_by_step_recurrences(y_max):
+    # a table kept from an earlier iterate: built at twice this law's rate,
+    # the far end of the range a fit reuses it over
+    T = np.array([[-100.0, 60.0, 30.0], [0.5, -2.0, 1.0], [0.2, 0.3, -1.0]])
+    d = ph_new([0.3, 0.3, 0.4], T)
+    rng = np.random.default_rng(74)
+    ys = np.unique(np.append(rng.uniform(0.0005, y_max, 40), y_max))
+    wt = rng.integers(1, 4, ys.size).astype(float)
+    table = _poisson_table(ys, 2.0 * _unif_rate(T))
+    assert table is not None
+    got = _estep(d, ys, wt, table)
+    want = recurrence_estep(d, ys, wt)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, builds", [(1, 1), (2, 31)])
+def test_fit_builds_the_poisson_table_once_while_rates_fall(monkeypatch, seed, builds):
+    # from seed 1 every iterate's rate falls, so one table serves all 31
+    # E-steps; from seed 2 every rate rises past the last table's q
+    ys = np.random.default_rng(78).gamma(2.0, 1.0, 400)
+    calls = []
+
+    def counted(qx, *args, **kwargs):
+        calls.append(qx.size)
+        return _poisson_blocks(qx, *args, **kwargs)
+
+    monkeypatch.setattr("iphfit.emfit._poisson_blocks", counted)
+    cfg = FitConfig(phases=3, max_iters=30, loglik_rel_tol=1e-300, seed=seed)
+    res = fit_ph_em(ys, cfg)
+    monkeypatch.undo()
+    assert res.iterations_run == 30
+    assert len(calls) == builds
+    # the same run through em_step and ph_loglik, each at its own rate
+    d = _random_init(3, float(ys.mean()), np.random.default_rng(seed))
+    trace = []
+    for _ in range(30):
+        trace.append(ph_loglik(d, ys))
+        d = em_step(d, ys)
+    trace.append(ph_loglik(d, ys))
+    np.testing.assert_allclose(res.loglik_trace, trace, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(res.fitted.T, d.T, rtol=1e-10, atol=0.0)
+
+
 def test_zero_likelihood_names_the_datum_past_the_first_block():
     ys = np.concatenate([np.linspace(0.1, 3.0, 50), [800.0]])
     with pytest.raises(DomainError, match=r"y = 800\.0"):
         em_step(erlang_rep(3, 2.0), ys)
+
+
+def test_fit_names_the_zero_likelihood_datum_from_a_kept_table():
+    ys = np.concatenate([np.linspace(0.1, 3.0, 50), [800.0]])
+    with pytest.raises(DomainError, match=r"y = 800\.0"):
+        fit_ph_em(ys, FitConfig(phases=3, init=erlang_rep(3, 2.0)))
 
 
 @pytest.mark.parametrize("u", [200.0, 400.0])
@@ -139,6 +193,22 @@ def test_estep_heap_peak_is_bounded(u):
     tracemalloc.start()
     try:
         _estep(d, uy, wt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [20000, 3000])
+def test_fit_heap_peak_is_bounded(n):
+    # the fit loop holds its Poisson table across iterations; that must not
+    # add a buffer to the E-step's own bound on the same far-datum data: all
+    # of it (its table streams) or its last 3000 points (the table is kept)
+    d = ph_new(BASE_PI, 0.25 * BASE_T)
+    ys = np.append(np.random.default_rng(82).gamma(2.0, 4.0, 20000), 200.0)[-n - 1 :]
+    tracemalloc.start()
+    try:
+        fit_ph_em(ys, FitConfig(phases=5, max_iters=3, init=d))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
