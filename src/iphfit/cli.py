@@ -20,11 +20,11 @@ error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .families import (
+    FAMILIES,
     NegLogAffine,
     ParetoExp,
     Power,
@@ -61,7 +62,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated settings for one `fit` run."""
 
@@ -79,7 +80,6 @@ class RunConfig:
     seed: int = 0
     max_iters: int = 2000
     erlang_baseline: int | None = None
-    deterministic: bool = False  # accepted for compatibility; fits are always reproducible
     grid_points: int = 512
 
     def __post_init__(self):
@@ -87,7 +87,7 @@ class RunConfig:
             raise ConfigError("input path must be nonempty")
         if not self.out_dir:
             raise ConfigError("output directory must be nonempty")
-        if self.transform not in ("pareto", "weibull", "gumbel", "gev"):
+        if self.transform not in FAMILIES:
             raise ConfigError(f"unknown transform {self.transform!r}")
         if self.phases < 1:
             raise ConfigError(f"phases must be >= 1, got {self.phases}")
@@ -342,10 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     fit = sub.add_parser("fit", help="fit a transformed PH model to a data column")
-    fit.add_argument("--input")
+    fit.add_argument("--input", dest="input_path", metavar="INPUT")
     fit.add_argument("--column", type=int)
     fit.add_argument("--header-rows", type=int)
-    fit.add_argument("--transform", choices=["pareto", "weibull", "gumbel", "gev"])
+    fit.add_argument("--transform", choices=list(FAMILIES))
     fit.add_argument("--beta", type=float)
     fit.add_argument("--sigma", type=float)
     fit.add_argument("--mu", type=float)
@@ -356,8 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-iters", type=int)
     fit.add_argument("--erlang-baseline", type=int)
     fit.add_argument("--out-dir")
-    fit.add_argument("--deterministic", action="store_true", default=None,
-                     help="kept for compatibility; fits are always bitwise reproducible "
+    fit.add_argument("--deterministic", action="store_true",
+                     help="accepted and ignored; fits are always bitwise reproducible "
                           "for a given input and BLAS thread count")
     fit.add_argument("--grid-points", type=int)
     fit.add_argument("--config", help="JSON file with the same keys as the flags")
@@ -377,27 +377,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {
-    "input": "input_path",
-    "column": "column",
-    "header_rows": "header_rows",
-    "transform": "transform",
-    "beta": "beta",
-    "sigma": "sigma",
-    "mu": "mu",
-    "xi": "xi",
-    "shift": "shift",
-    "phases": "phases",
-    "seed": "seed",
-    "max_iters": "max_iters",
-    "erlang_baseline": "erlang_baseline",
-    "out_dir": "out_dir",
-    "deterministic": "deterministic",
-    "grid_points": "grid_points",
-}
-
-
 def _fit_config_from_args(args) -> RunConfig:
+    """RunConfig from the config file, then the flags given on the command line.
+
+    Config keys are the RunConfig field names (dashes allowed for
+    underscores), except that ``input_path`` is spelled ``input``.
+    """
+    names = [f.name for f in dataclasses.fields(RunConfig)]
     settings: dict = {}
     if args.config:
         try:
@@ -409,32 +395,15 @@ def _fit_config_from_args(args) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
+        keys = {"input" if name == "input_path" else name: name for name in names}
         for key, value in raw.items():
-            norm = key.replace("-", "_")
-            if norm not in _CONFIG_KEYS:
+            name = keys.get(key.replace("-", "_"))
+            if name is None:
                 raise ConfigError(f"config file: unknown key {key!r}")
-            settings[_CONFIG_KEYS[norm]] = value
-    overrides = {
-        "input_path": args.input,
-        "column": args.column,
-        "header_rows": args.header_rows,
-        "transform": args.transform,
-        "beta": args.beta,
-        "sigma": args.sigma,
-        "mu": args.mu,
-        "xi": args.xi,
-        "shift": args.shift,
-        "phases": args.phases,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "erlang_baseline": args.erlang_baseline,
-        "out_dir": args.out_dir,
-        "deterministic": args.deterministic,
-        "grid_points": args.grid_points,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
+            settings[name] = value
+    for name in names:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
     for required in ("input_path", "transform", "out_dir"):
         if required not in settings or settings[required] is None:
             raise ConfigError(f"missing required setting {required!r}")

@@ -24,7 +24,7 @@ iterate's own rate otherwise.  A table over the one-buffer budget of
 ``phcore._poisson_blocks`` is streamed afresh each iteration instead, so
 no N x K table is held.  The blocks are reduced in a fixed order with
 fixed BLAS products, so a fit is bitwise reproducible for a given input
-and BLAS thread count; there is no separate "ordered" mode.
+and BLAS thread count.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -86,8 +86,7 @@ class FitConfig:
     ``init`` is "random" (seeded by ``seed``), "structured" (the
     feed-forward bidiagonal skeleton), or an explicit PHDist to start
     from.  Fits are always bitwise reproducible for a given input and BLAS
-    thread count; ``ordered_reduction`` is accepted for compatibility and
-    selects nothing.
+    thread count.
     """
 
     phases: int
@@ -95,7 +94,6 @@ class FitConfig:
     loglik_rel_tol: float = 1e-8
     init: object = "random"
     seed: int | None = None
-    ordered_reduction: bool = True
 
     def __post_init__(self):
         if self.phases < 1 or self.phases != int(self.phases):

@@ -53,6 +53,7 @@ from .phcore import (
 )
 
 __all__ = [
+    "FAMILIES",
     "ParetoExp",
     "Power",
     "NegLogAffine",
@@ -119,7 +120,7 @@ class Power:
     """g(x) = x^{1/beta}."""
 
     beta: float
-    tag = "power"
+    tag = "weibull"
     increasing = True
 
     def __post_init__(self):
@@ -214,6 +215,10 @@ class ShiftedPower:
         return ("gev", self.mu, self.sigma, self.xi)
 
 
+# family name, as the model document and the command line spell it -> transform class
+FAMILIES = {cls.tag: cls for cls in (ParetoExp, Power, NegLogAffine, ShiftedPower)}
+
+
 @dataclass(frozen=True)
 class ShiftedTransform:
     """g composed with a location shift on the x scale: y = g(x + shift).
@@ -229,10 +234,6 @@ class ShiftedTransform:
     def __post_init__(self):
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
-
-    @property
-    def tag(self):
-        return self.inner.tag
 
     @property
     def increasing(self):
@@ -284,13 +285,16 @@ class TransformedPH:
 def tph_new(base: PHDist, transform) -> TransformedPH:
     if not isinstance(base, PHDist):
         raise ValidationError("base must be a PHDist")
-    if not isinstance(transform, (ParetoExp, Power, NegLogAffine, ShiftedPower, ShiftedTransform)):
+    if not isinstance(transform, (*FAMILIES.values(), ShiftedTransform)):
         raise ValidationError(f"unknown transform {transform!r}")
     return TransformedPH(base, transform)
 
 
 def _as_points(y):
+    """(is scalar, 1-d float array); NaN is rejected, +-inf lie at the support's ends."""
     y_arr = np.asarray(y, dtype=float)
+    if np.any(np.isnan(y_arr)):
+        raise DomainError("argument must not be NaN")
     return y_arr.ndim == 0, np.atleast_1d(y_arr).astype(float)
 
 

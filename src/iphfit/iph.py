@@ -360,18 +360,18 @@ def piecewise_path(times: Sequence[float], matrices) -> MatrixRatePath:
     )
 
 
-def product_integral(path: MatrixRatePath, s: float, t: float, step_control=None) -> np.ndarray:
-    """prod_s^t (I + T(u) du), as the solution at t of dM/du = M T(u), M(s) = I.
+# RK45 tolerances of the product integral
+_PI_RTOL = 1e-10
+_PI_ATOL = 1e-13
 
-    ``step_control`` may override the integrator tolerances with keys
-    ``rtol``, ``atol`` and ``max_step``.
-    """
+
+def product_integral(path: MatrixRatePath, s: float, t: float) -> np.ndarray:
+    """prod_s^t (I + T(u) du), as the solution at t of dM/du = M T(u), M(s) = I."""
     s, t = float(s), float(t)
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise DomainError(f"interval ends must be finite, got s = {s}, t = {t}")
     if s > t:
         raise DomainError(f"interval is reversed: s = {s} > t = {t}")
-    ctl = {"rtol": 1e-10, "atol": 1e-13, "max_step": np.inf}
-    if step_control:
-        ctl.update(step_control)
     p = path.at(s).shape[0]
     if s == t:
         return np.eye(p)
@@ -387,16 +387,15 @@ def product_integral(path: MatrixRatePath, s: float, t: float, step_control=None
             (a, b),
             np.eye(p).ravel(),
             method="RK45",
-            rtol=ctl["rtol"],
-            atol=ctl["atol"],
-            max_step=ctl["max_step"],
+            rtol=_PI_RTOL,
+            atol=_PI_ATOL,
         )
         if not sol.success:
             raise IntegrationError(
                 f"product integral failed on [{a:g}, {b:g}]: {sol.message}"
             )
         M = M @ sol.y[:, -1].reshape(p, p)
-    slack = 1e3 * ctl["rtol"] + 1e-12
+    slack = 1e3 * _PI_RTOL + 1e-12
     rows = M.sum(axis=1)
     if np.any(rows > 1.0 + slack) or np.any(M < -slack):
         raise IntegrationError(
@@ -406,13 +405,13 @@ def product_integral(path: MatrixRatePath, s: float, t: float, step_control=None
     return M
 
 
-def iph_general_sf(pi, path: MatrixRatePath, x, step_control=None) -> float:
+def iph_general_sf(pi, path: MatrixRatePath, x) -> float:
     """pi prod_0^x (I + T(u) du) e."""
     x = float(x)
     if x < 0:
         raise DomainError(f"evaluation point must be nonnegative, got {x}")
     pi = np.asarray(pi, dtype=float)
-    M = product_integral(path, 0.0, x, step_control)
+    M = product_integral(path, 0.0, x)
     return float(np.clip(pi @ M @ np.ones(M.shape[0]), 0.0, 1.0))
 
 
@@ -420,13 +419,16 @@ def iph_general_sf(pi, path: MatrixRatePath, x, step_control=None) -> float:
 # thinning oracle
 # ---------------------------------------------------------------------------
 
+# candidate-event waves after which thinning gives up on unabsorbed paths
+_MAX_WAVES = 1_000_000
+
+
 def thinning_sample(
     pi,
     path: MatrixRatePath,
     rate_bound: float,
     rng: np.random.Generator,
     count: int,
-    max_waves: int = 1_000_000,
 ) -> np.ndarray:
     """Absorption times of the inhomogeneous chain by Poisson thinning.
 
@@ -442,7 +444,7 @@ def thinning_sample(
     state = rng.choice(p, size=count, p=pi / pi.sum())
     times = np.zeros(count)
     active = np.arange(count)
-    for _ in range(max_waves):
+    for _ in range(_MAX_WAVES):
         if not active.size:
             return times
         n = active.size

@@ -253,7 +253,11 @@ def mat_log_neg(T) -> np.ndarray:
     All eigenvalues of -T lie in the open right half-plane, so the
     principal branch exists and is real.
     """
-    T = check_sub_intensity(T)
+    return _log_neg(check_sub_intensity(T))
+
+
+def _log_neg(T) -> np.ndarray:
+    """Real principal logarithm of -T; needs only Re(eig T) < 0, so ME generators qualify."""
     out = sla.logm(-T)
     out = np.real_if_close(out, tol=1e6)
     if np.iscomplexobj(out):

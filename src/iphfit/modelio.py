@@ -12,22 +12,28 @@ The params document is a UTF-8 JSON text with version tag "iph-params/1":
       "exit": [...]            # only for non-Markov representations
     }
 
+The transform object holds the family name (a key of
+``families.FAMILIES``) and then that transform's dataclass fields in
+declaration order; a field whose default is None may be null or absent.
 Reals are written with 17 significant digits, so a load followed by a
 save is byte-stable and evaluation round-trips bitwise.  Loading re-runs
-full representation validation; schema problems raise
-ModelDocumentError naming the offending field path.
+the transform's own parameter checks and full representation
+validation; schema problems raise ModelDocumentError naming the
+offending field path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ModelDocumentError
+from .errors import ModelDocumentError, ValidationError
 from .families import (
+    FAMILIES,
     NegLogAffine,
     ParetoExp,
     Power,
@@ -57,27 +63,17 @@ VERSION = "iph-params/1"
 # document construction
 # ---------------------------------------------------------------------------
 
-def _transform_doc(tr) -> dict:
-    if isinstance(tr, ParetoExp):
-        return {"family": "pareto", "beta": tr.beta}
-    if isinstance(tr, Power):
-        return {"family": "weibull", "beta": tr.beta}
-    if isinstance(tr, NegLogAffine):
-        return {"family": "gumbel", "mu": tr.mu, "sigma": tr.sigma}
-    if isinstance(tr, ShiftedPower):
-        return {"family": "gev", "mu": tr.mu, "sigma": tr.sigma, "xi": tr.xi}
-    raise ModelDocumentError(f"transform: cannot serialize {type(tr).__name__}")
-
-
 def model_to_doc(model: TransformedPH) -> dict:
     tr = model.transform
     shift = 0.0
     if isinstance(tr, ShiftedTransform):
         shift = float(tr.shift)
         tr = tr.inner
+    if type(tr) not in FAMILIES.values():
+        raise ModelDocumentError(f"transform: cannot serialize {type(tr).__name__}")
     doc = {
         "version": VERSION,
-        "transform": _transform_doc(tr),
+        "transform": {"family": tr.tag, **dataclasses.asdict(tr)},
         "shift": shift,
         "markov": bool(model.base.markov),
         "pi": [float(v) for v in model.base.pi],
@@ -134,16 +130,12 @@ def _need(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
-def _real(value, where: str, positive=False, nonzero=False) -> float:
+def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelDocumentError(f"{where}: expected a real number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
         raise ModelDocumentError(f"{where}: must be finite, got {v}")
-    if positive and not (v > 0):
-        raise ModelDocumentError(f"{where}: must be positive, got {v}")
-    if nonzero and v == 0:
-        raise ModelDocumentError(f"{where}: must be nonzero")
     return v
 
 
@@ -154,26 +146,23 @@ def _vector(value, where: str) -> np.ndarray:
 
 
 def _load_transform(tdoc) -> object:
+    """Transform from its family's fields; one defaulting to None may be absent or null."""
     if not isinstance(tdoc, dict):
         raise ModelDocumentError("transform: expected an object")
     fam = _need(tdoc, "family", "transform.")
-    if fam == "pareto":
-        beta = tdoc.get("beta")
-        return ParetoExp(None if beta is None else _real(beta, "transform.beta", positive=True))
-    if fam == "weibull":
-        return Power(_real(_need(tdoc, "beta", "transform."), "transform.beta", positive=True))
-    if fam == "gumbel":
-        return NegLogAffine(
-            _real(_need(tdoc, "mu", "transform."), "transform.mu"),
-            _real(_need(tdoc, "sigma", "transform."), "transform.sigma", positive=True),
-        )
-    if fam == "gev":
-        return ShiftedPower(
-            _real(_need(tdoc, "mu", "transform."), "transform.mu"),
-            _real(_need(tdoc, "sigma", "transform."), "transform.sigma", positive=True),
-            _real(_need(tdoc, "xi", "transform."), "transform.xi", nonzero=True),
-        )
-    raise ModelDocumentError(f"transform.family: unknown family {fam!r}")
+    cls = FAMILIES.get(fam) if isinstance(fam, str) else None
+    if cls is None:
+        raise ModelDocumentError(f"transform.family: unknown family {fam!r}")
+    params = {}
+    for f in dataclasses.fields(cls):
+        if f.default is None and tdoc.get(f.name) is None:
+            params[f.name] = None
+        else:
+            params[f.name] = _real(_need(tdoc, f.name, "transform."), f"transform.{f.name}")
+    try:
+        return cls(**params)
+    except ValidationError as exc:
+        raise ModelDocumentError(f"transform.{exc}") from exc
 
 
 def doc_to_model(doc: dict) -> TransformedPH:

@@ -50,12 +50,11 @@ from .errors import (
 )
 from .matfun import (
     MAX_DIM,
-    AnalyticFunction,
+    _log_neg,
     check_square,
     check_sub_intensity,
     mat_exp,
     mat_fun,
-    mat_log_neg,
     power_function,
 )
 
@@ -445,15 +444,7 @@ def ph_frac_moment(d: PHDist, theta: float) -> float:
 def ph_log_moment(d: PHDist) -> float:
     """E(log X) = -gamma - pi log(-T) e."""
     # the identity only needs the ME closing vector in place of e
-    L = mat_log_neg(d.T) if d.markov else mat_fun(-d.T, _log_fun())
-    return -EULER_GAMMA - float(d.pi @ L @ d.close)
-
-
-def _log_fun():
-    def deriv(z, k):
-        return (-1.0) ** (k - 1) * math.factorial(k - 1) * np.power(complex(z), -k)
-
-    return AnalyticFunction(lambda z: np.log(complex(z)), deriv, name="log")
+    return -EULER_GAMMA - float(d.pi @ _log_neg(d.T) @ d.close)
 
 
 def _condition(base: PHDist, u: float, where: str) -> PHDist:
@@ -577,7 +568,7 @@ def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
-    if np.any((q_arr < 0) | (q_arr >= 1)):
+    if np.any(~((q_arr >= 0) & (q_arr < 1))):
         raise DomainError("quantile level must lie in [0, 1)")
     out = np.zeros_like(q_arr)
     low = (q_arr > 0.0) & (q_arr < 0.5)

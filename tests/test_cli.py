@@ -106,7 +106,6 @@ def test_run_fit_end_to_end(tmp_path):
         seed=7,
         max_iters=200,
         erlang_baseline=1,
-        deterministic=True,
     )
     summary = run_fit(cfg)
     assert summary["iterations"] > 0
@@ -135,7 +134,6 @@ def test_run_fit_deterministic_outputs(tmp_path):
             phases=2,
             seed=11,
             max_iters=120,
-            deterministic=True,
         )
         run_fit(cfg)
         return (run_dir / "params.json").read_bytes()
@@ -282,6 +280,10 @@ def test_config_file_merge(tmp_path, capsys):
     assert (override / "params.json").exists()
     assert not (tmp_path / "from-file").exists()
     bad_cfg = tmp_path / "bad.json"
-    bad_cfg.write_text('{"frobnicate": 1}')
-    assert main(["fit", "--config", str(bad_cfg)]) == EXIT_CONFIG
-    capsys.readouterr()
+    good = json.loads(cfg_path.read_text())
+    # keys are RunConfig's field names, with "input" for input_path
+    for bad in ({"frobnicate": 1}, {"deterministic": True}, {"input_path": str(data_path)}):
+        bad_cfg.write_text(json.dumps({**good, **bad}))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(bad_cfg)]) == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err

@@ -266,15 +266,11 @@ def test_permutation_invariance():
 
 def test_ordered_reduction_is_bitwise_repeatable():
     ys = np.random.default_rng(78).gamma(2.0, 1.0, 400)
-    cfg = FitConfig(phases=3, max_iters=15, seed=5, ordered_reduction=True)
+    cfg = FitConfig(phases=3, max_iters=15, seed=5)
     a = fit_ph_em(ys, cfg)
     b = fit_ph_em(ys, cfg)
     assert np.array_equal(a.fitted.T, b.fitted.T)
     assert a.loglik_trace == b.loglik_trace
-    # the flag is kept for compatibility only: both settings run one path
-    c = fit_ph_em(ys, FitConfig(phases=3, max_iters=15, seed=5, ordered_reduction=False))
-    assert np.array_equal(a.fitted.T, c.fitted.T)
-    assert a.loglik_trace == c.loglik_trace
 
 
 def test_duplicate_aggregation_is_invisible():

@@ -270,6 +270,23 @@ def test_support_edges():
     assert tph_sf(d3, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("fn", [tph_sf, tph_pdf, tph_quantile], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "tr",
+    [ParetoExp(), Power(0.7), NegLogAffine(1.0, 0.5), ShiftedPower(0.0, 2.0, -0.3)],
+    ids=lambda tr: tr.tag,
+)
+def test_nan_arguments_are_rejected(fn, tr):
+    d = tph_new(erlang_rep(2, 1.5), tr)
+    for arg in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            fn(d, arg)
+    if fn is not tph_quantile:
+        # infinities are the ends of every support, not invalid points
+        assert fn(d, -math.inf) == (1.0 if fn is tph_sf else 0.0)
+        assert fn(d, math.inf) == 0.0
+
+
 def test_far_tail_is_clean():
     # lam=1.5: u=log1p(1e300)=690 stays under the evaluation cap and rides
     # the underflowing matrix-exponential route; lam=3.0: the cap engages

@@ -273,6 +273,15 @@ def test_product_integral_identities_and_errors():
         product_integral(path, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "s, t", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]
+)
+def test_product_integral_rejects_nonfinite_ends(s, t):
+    path = path_new(lambda u: np.array([[-1.0, 0.3], [0.1, -0.8]]), "const")
+    with pytest.raises(DomainError):
+        product_integral(path, s, t)
+
+
 def test_product_integral_noncommuting_piecewise():
     A = np.array([[-1.0, 1.0], [0.0, -2.0]])
     B = np.array([[-2.0, 0.0], [1.5, -1.5]])
@@ -305,6 +314,14 @@ def test_general_sf_matches_scaled_analytic():
     for x in (0.0, 0.5, 2.0, 8.0):
         got = iph_general_sf(base.pi, path, x)
         assert got == pytest.approx(float(iph_sf(d, x)), abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_general_sf_rejects_nonfinite_points(x):
+    base = erlang_rep(2, 1.5)
+    path = scaled_path(inverse_linear_rate(1.0), base.T)
+    with pytest.raises(DomainError):
+        iph_general_sf(base.pi, path, x)
 
 
 def test_piecewise_path_lookup_side():

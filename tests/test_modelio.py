@@ -79,13 +79,20 @@ def test_me_round_trip_keeps_explicit_exit(tmp_path):
 
 def test_all_families_round_trip(tmp_path):
     base = erlang_rep(2, 1.5)
-    for i, tr in enumerate(
-        [ParetoExp(), ParetoExp(beta=2.0), Power(0.7), NegLogAffine(1.0, 0.5), ShiftedPower(0.0, 2.0, -0.3)]
-    ):
+    for i, (tr, want) in enumerate([
+        (ParetoExp(), {"family": "pareto", "beta": None}),
+        (ParetoExp(beta=2.0), {"family": "pareto", "beta": 2.0}),
+        (Power(0.7), {"family": "weibull", "beta": 0.7}),
+        (NegLogAffine(1.0, 0.5), {"family": "gumbel", "mu": 1.0, "sigma": 0.5}),
+        (ShiftedPower(0.0, 2.0, -0.3), {"family": "gev", "mu": 0.0, "sigma": 2.0, "xi": -0.3}),
+    ]):
         model = tph_new(base, tr)
         path = tmp_path / f"f{i}.json"
         save_model(model, path)
+        assert list(json.loads(path.read_text())["transform"].items()) == list(want.items())
         loaded = load_model(path)
+        save_model(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
         qs = np.array([0.2, 0.5, 0.9])
         from iphfit.families import tph_quantile
 
@@ -120,6 +127,15 @@ def test_field_path_errors():
         doc_to_model({**ok, "pi": [0.5, 0.5], "T": [[-1.0, 2.0], [0.0, -1.0]]})
     with pytest.raises(ModelDocumentError, match="transform.sigma"):
         doc_to_model({**ok, "transform": {"family": "gumbel", "mu": 0.0, "sigma": -1.0}})
+    with pytest.raises(ModelDocumentError, match="transform.beta"):
+        doc_to_model({**ok, "transform": {"family": "weibull", "beta": -1}})
+    with pytest.raises(ModelDocumentError, match="transform.xi"):
+        doc_to_model({**ok, "transform": {"family": "gev", "mu": 0.0, "sigma": 1.0, "xi": 0}})
+    with pytest.raises(ModelDocumentError, match="transform.family"):
+        doc_to_model({**ok, "transform": {"family": ["x"]}})
+    with pytest.raises(ModelDocumentError, match="transform.mu"):
+        doc_to_model({**ok, "transform": {"family": "gumbel", "sigma": 1.0}})
+    assert doc_to_model({**ok, "transform": {"family": "pareto"}}).transform.beta is None
 
 
 def test_load_rejects_garbage(tmp_path):

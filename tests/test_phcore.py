@@ -278,6 +278,19 @@ def test_log_moment_closed_forms():
     assert ph_log_moment(d) == pytest.approx(want, abs=1e-6)
 
 
+def test_log_moment_me_twin_matches_mpmath():
+    # nearly repeated eigenvalues; the Markov law and its ME twin share one logm
+    import mpmath
+
+    pi = np.array([0.5, 0.3, 0.2])
+    T = np.array([[-1.0, 0.5, 0.0], [0.0, -1.000001, 0.5], [0.0, 0.0, -1.000002]])
+    with mpmath.workdps(50):
+        L = mpmath.logm(-mpmath.matrix(T.tolist()))
+        want = float(-mpmath.euler - (mpmath.matrix([pi.tolist()]) * L * mpmath.ones(3, 1))[0])
+    for d in (ph_new(pi, T), ph_new(pi, T, markov=False, exit=-T.sum(axis=1))):
+        assert ph_log_moment(d) == pytest.approx(want, rel=1e-13)
+
+
 def test_log_moment_frozen_exponential():
     # Exp(1): E[log X] = -gamma
     assert ph_log_moment(erlang_rep(1, 1.0)) == pytest.approx(-EULER_GAMMA, rel=1e-12)
@@ -385,6 +398,14 @@ def test_quantile_rejects_bad_levels():
         ph_quantile(d, 1.0)
     with pytest.raises(DomainError):
         ph_quantile(d, -0.1)
+
+
+@pytest.mark.parametrize("law", ["erlang", "me"])
+def test_quantile_rejects_nan_levels(law):
+    d = erlang_rep(2, 1.0) if law == "erlang" else me_example()
+    for q in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            ph_quantile(d, q)
 
 
 def test_sample_requires_markov():
