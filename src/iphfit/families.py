@@ -340,7 +340,7 @@ def tph_pdf(d: TransformedPH, y):
 
 
 def tph_sample(d: TransformedPH, rng: np.random.Generator, count: int) -> np.ndarray:
-    """g applied elementwise to jump-chain draws from the base."""
+    """g applied elementwise to draws from the base law (``ph_sample``)."""
     return d.transform.from_x(ph_sample(d.base, rng, count), d.mu)
 
 
@@ -464,6 +464,8 @@ def mw_mgf(d: TransformedPH, theta: float, max_terms: int = 400) -> tuple[float,
     if not (beta > 1):
         raise DomainError(f"the series requires beta > 1, got beta = {beta}")
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"moment generating function argument must be finite, got {theta}")
     negT = -d.base.T
     pi, t = d.base.pi, d.base.exit
     total = 0.0

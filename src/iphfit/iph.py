@@ -423,6 +423,19 @@ def iph_general_sf(pi, path: MatrixRatePath, x) -> float:
 _MAX_WAVES = 1_000_000
 
 
+def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF categorical draws: for each uniform u[i], the first index
+    whose cumulative probability exceeds it.
+
+    ``probs`` is one probability row shared by every draw, or one row per
+    draw.  The last cumulative entry is pinned to 1, so a row that sums to
+    1 - 2^-53 never lets a uniform below 1 pass its end.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    return (cum <= u[:, None]).sum(axis=1)
+
+
 def thinning_sample(
     pi,
     path: MatrixRatePath,
@@ -441,7 +454,7 @@ def thinning_sample(
     if not (rate_bound > 0):
         raise ValidationError(f"rate bound must be positive, got {rate_bound}")
     p = pi.size
-    state = rng.choice(p, size=count, p=pi / pi.sum())
+    state = _categorical(pi / pi.sum(), rng.random(count))
     times = np.zeros(count)
     active = np.arange(count)
     for _ in range(_MAX_WAVES):
@@ -467,10 +480,7 @@ def thinning_sample(
             exit_rate = np.maximum(dii[idx] - r.sum(axis=1), 0.0)
             probs = np.concatenate([r, exit_rate[:, None]], axis=1)
             probs /= probs.sum(axis=1, keepdims=True)
-            cum = np.cumsum(probs, axis=1)
-            # a row may sum to 1 - 2^-53; u < 1 must never pass the last column
-            cum[:, -1] = 1.0
-            nxt = (cum <= rng.random(idx.size)[:, None]).sum(axis=1)
+            nxt = _categorical(probs, rng.random(idx.size))
             absorbed = nxt == p
             state[active[idx]] = np.where(absorbed, s[idx], np.minimum(nxt, p - 1))
             dead[idx] = absorbed

@@ -1,8 +1,8 @@
 """Classical (homogeneous) phase-type distributions.
 
 Construction and validation of PH representations, Erlang and mixture
-builders, density/survival/moment evaluation, quantiles, and jump-chain
-sampling.
+builders, density/survival/moment evaluation, quantiles, and sampling as a
+uniformized Gamma mixture.
 
 A representation is the triple (pi, T, t): initial probabilities, the
 sub-intensity matrix of the transient states, and the exit-rate vector.
@@ -32,6 +32,10 @@ root-finder, ``_solve_increasing``: one geometric grid of four points per
 octave brackets every level at once, then Anderson-Bjorck regula falsi,
 with a bisection safeguard, refines only the brackets still open; a
 level costs about five evaluations.
+
+Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
+count N drawn by inverse CDF on the survival rows pi P^n e from
+``_unif_rows`` (see ``ph_sample``), so no jump chain is walked.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ _UNIF_MAX_QX = 600.0
 _BLOCK_ENTRIES = 1 << 19
 
 _TINY = float(np.finfo(float).tiny)
+
+# the spacing of the uniforms from Generator.random: every one of them but
+# 0 lies above a survival row that sums below this
+_UNIFORM_STEP = 2.0 ** -53
 
 # root finding (_solve_increasing): bracketing grid points per octave, and
 # the false-position steps a bracket may take without halving before one
@@ -450,9 +458,11 @@ def ph_log_moment(d: PHDist) -> float:
 def _condition(base: PHDist, u: float, where: str) -> PHDist:
     """Law of X - u given X > u: start vector pi e^{Tu}, renormalized.
 
-    ``where`` names the caller's conditioning point in the error raised
-    when P(X > u) underflows.
+    ``where`` names the caller's conditioning point in the errors raised
+    when u is not finite or P(X > u) underflows.
     """
+    if not math.isfinite(u):
+        raise DomainError(f"conditioning at {where} needs a finite point, got {u}")
     alpha = base.pi @ mat_exp(base.T * u)
     denom = float(alpha @ base.close)
     if not (denom > 1e-300):
@@ -595,11 +605,25 @@ def _log(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Absorption times of the underlying jump chain, vectorized in waves.
+    """Draws of X ~ PH(pi, T) as a uniformized Gamma mixture.
 
-    Start states are drawn from pi; in each wave all still-active chains
-    hold an exponential time in their current state and then jump, with
-    exit probabilities t_i / (-T_ii).
+    With q = _unif_rate(T) and P = I + T / q, X is Gamma(N, rate q), where
+    the number N >= 1 of uniformized steps up to absorption has
+    P(N > n) = S_n = pi P^n e.  The rows S_0, ..., S_M come from
+    ``_unif_rows``: the table ends at the first row below 2^-53, the
+    spacing of the uniforms, or at its cap, the largest power of two of
+    rows whose p columns fit _BLOCK_ENTRIES, whichever comes first.  One
+    ``searchsorted`` draws N = max(1, #{n : S_n > U}) for uniforms U, and
+    one ``gamma`` call draws X.
+
+    Row rule: a draw continues past the table exactly when its U lies
+    below S_M: a U of 0, or, in a table ended by its cap (stiff laws),
+    any U below S_M.  Such a draw takes Gamma(M, rate q) for its first M
+    steps and draws the rest the same way from the next table, the rows
+    pi P^(M+n) e / S_M of its law given N > M, and so on.  Each table
+    costs one product with P^M, however many jumps its steps stand for.
+    The draws are exact for every Markov law; memory is two tables (at
+    most 2 * _BLOCK_ENTRIES floats) plus O(count).
     """
     if not d.markov:
         raise UnsupportedRepresentationError(
@@ -608,23 +632,30 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     if count < 0:
         raise DomainError("count must be nonnegative")
     p = d.dim
-    rates = -np.diag(d.T)
-    jump = np.concatenate([d.T - np.diag(np.diag(d.T)), d.exit[:, None]], axis=1)
-    jump = jump / rates[:, None]
-    jump = np.maximum(jump, 0.0)
-    jump /= jump.sum(axis=1, keepdims=True)
-
-    pi = d.pi / d.pi.sum()
-    states = rng.choice(p, size=count, p=pi)
-    times = np.zeros(count)
-    active = np.arange(count)
-    while active.size:
-        s = states[active]
-        times[active] += rng.exponential(1.0, active.size) / rates[s]
-        nxt = np.empty(active.size, dtype=np.int64)
-        for i in np.unique(s):
-            sel = s == i
-            nxt[sel] = rng.choice(p + 1, size=int(sel.sum()), p=jump[i])
-        states[active] = np.minimum(nxt, p - 1)
-        active = active[nxt < p]
-    return times
+    q = _unif_rate(d.T)
+    P = np.eye(p) + d.T / q
+    # a power of two, so the doubling in _unif_rows stops exactly there
+    cap = 1 << ((_BLOCK_ENTRIES // p).bit_length() - 1)
+    R = _unif_rows(d.pi, P, cap - 1, _UNIFORM_STEP)
+    x = todo = None  # the draws, and the indices of those still going
+    while True:
+        S = np.minimum.accumulate(R.sum(axis=1))
+        small = np.flatnonzero(S < _UNIFORM_STEP)
+        M = int(small[0]) if small.size else S.size - 1
+        u = rng.random(count if todo is None else todo.size)
+        # #{n <= M : S_n <= U}; S falls, so search it reversed
+        below = np.searchsorted(S[M::-1], u, side="right")
+        cont = np.flatnonzero(below == 0)
+        # the shapes N, written over the spent uniforms
+        np.subtract(M + 1, below, out=u)
+        del below
+        np.clip(u, 1, M, out=u)
+        if todo is None:
+            x, todo = rng.gamma(u, 1.0 / q), cont
+        else:
+            x[todo] += rng.gamma(u, 1.0 / q)
+            todo = todo[cont]
+        if not todo.size:
+            return x
+        R = R @ np.linalg.matrix_power(P, M)
+        R /= R[0].sum()

@@ -1,6 +1,7 @@
 """Transformed families: densities, tails, moments, special quantities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,15 @@ def test_conditional_excess_degenerate_conditioning():
         mp_conditional_excess(d, 1e200)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_conditional_excess_rejects_a_non_finite_threshold(x):
+    d = tph_new(erlang_rep(2, 1.5), ParetoExp())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"threshold {x}"):
+            mp_conditional_excess(d, x)
+
+
 def test_conditional_excess_at_zero_is_identity():
     d = tph_new(erlang_rep(2, 2.0), ParetoExp(beta=None))
     exc = mp_conditional_excess(d, 0.0)
@@ -423,6 +433,18 @@ def test_mw_mgf_series():
         assert got == pytest.approx(want, rel=1e-9)
     with pytest.raises(DomainError):
         mw_mgf(tph_new(erlang_rep(1, 1.0), Power(0.8)), 0.5)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_mw_mgf_rejects_a_non_finite_argument_before_the_series(theta, monkeypatch):
+    import iphfit.families as families
+
+    calls = []
+    monkeypatch.setattr(families, "mat_fun", lambda *a: calls.append(a))
+    d = tph_new(erlang_rep(2, 1.5), Power(2.0))
+    with pytest.raises(DomainError):
+        mw_mgf(d, theta)
+    assert not calls
 
 
 def test_mw_mgf_nonconvergence_carries_last_term():

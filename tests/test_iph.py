@@ -2,6 +2,7 @@
 thinning simulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def test_overshoot_sf_identity_me_base():
     ts = np.linspace(0.0, 3.0, 30)
     want = iph_sf(d, s + ts) / iph_sf(d, s)
     assert np.max(np.abs(iph_sf(exc, ts) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_overshoot_rejects_a_non_finite_level(s):
+    d = iph_new(erlang_rep(2, 1.0), inverse_linear_rate(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"level {s}"):
+            iph_overshoot(d, s)
 
 
 def test_overshoot_composition():

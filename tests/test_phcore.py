@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc
 
@@ -428,3 +430,96 @@ def test_sample_deterministic_under_seed():
     a = ph_sample(d, np.random.default_rng(42), 1000)
     b = ph_sample(d, np.random.default_rng(42), 1000)
     assert np.array_equal(a, b)
+
+
+class _RecordingRng:
+    """A generator that records the size of every ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+    def gamma(self, shape, scale):
+        return self.rng.gamma(shape, scale)
+
+
+def test_sample_past_the_table_matches_cdf():
+    # 127 phases at rate 100 in series, each exiting at rate 1 and feeding the
+    # next at 99; the last phase exits at 0.05.  The survival rows are still
+    # about 0.28 * 0.14 when the table reaches its 4096-row cap, so those
+    # draws go on from the next table, whose start is almost surely the slow
+    # phase (a restart from pi would mostly exit within a few steps)
+    p = 128
+    T = np.diag(np.full(p, -100.0))
+    T[np.arange(p - 1), np.arange(1, p)] = 99.0
+    T[-1, -1] = -0.05
+    d = ph_new(np.eye(p)[0], T)
+    n = 20000
+    rng = _RecordingRng(5)
+    draws = ph_sample(d, rng, n)
+    # one uniform per draw, then one per draw still going at each table
+    assert rng.sizes[0] == n and 0.02 * n < rng.sizes[1] < 0.06 * n
+    assert draws.shape == (n,) and np.all(draws > 0)
+    dist = ks_distance(draws, lambda x: ph_cdf(d, x))
+    assert dist < ks_critical(n, 0.01)
+
+
+class _TopUniformRng:
+    """Generator stub: every uniform is 1 - 2^-53, every variate its mean."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+    def gamma(self, shape, scale):
+        return np.multiply(shape, scale)
+
+
+@pytest.mark.parametrize("pi", [[1.0, 0.0, 0.0], [0.5, 0.5 - 1e-13, 0.0]])
+def test_sample_top_uniform_takes_at_least_one_step(pi):
+    # with pi e = 1 - 1e-13 the top uniform lies above every survival row;
+    # N = 0 would give a zero draw
+    d = ph_new(pi, [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -2.0]])
+    draws = ph_sample(d, _TopUniformRng(), 5)
+    assert np.all(draws > 0)
+
+
+def test_sample_heap_peak_is_bounded_on_a_stiff_law():
+    # the survival rows of this law reach the row cap (2^18 rows of 2)
+    d = ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]])
+    tracemalloc.start()
+    try:
+        draws = ph_sample(d, np.random.default_rng(3), 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert draws.shape == (10**5,) and np.all(draws > 0)
+
+
+@st.composite
+def markov_laws(draw):
+    """Markov laws of order 1..8 whose rates span 1e-3..1e2; the ends of the
+    span are drawn often, so some laws are stiff enough that draws continue
+    past the survival table."""
+    p = draw(st.integers(1, 8))
+    rate = st.sampled_from([1e-3, 1e2]) | st.floats(1e-3, 1e2)
+    off = np.array(draw(st.lists(st.just(0.0) | rate, min_size=p * p, max_size=p * p)))
+    off = off.reshape(p, p)
+    np.fill_diagonal(off, 0.0)
+    exits = np.array(draw(st.lists(rate, min_size=p, max_size=p)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=p, max_size=p)))
+    return ph_new(w / w.sum(), off - np.diag(off.sum(axis=1) + exits))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(d=markov_laws(), count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_sample_properties(d, count, seed):
+    draws = ph_sample(d, np.random.default_rng(seed), count)
+    assert draws.shape == (count,)
+    assert np.all(np.isfinite(draws) & (draws > 0))
+    assert np.array_equal(draws, ph_sample(d, np.random.default_rng(seed), count))
+    assert ph_sample(d, np.random.default_rng(seed), 0).shape == (0,)
