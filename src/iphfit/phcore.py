@@ -127,6 +127,25 @@ class PHDist:
 # construction
 # ---------------------------------------------------------------------------
 
+def _check_start(pi, p: int, markov: bool = True) -> np.ndarray:
+    """A start vector of length p as floats.
+
+    A Markov start may not have negative entries; round-off below zero
+    (down to -1e-15) is clamped to 0.  The sum is the caller's to check.
+    """
+    pi = np.atleast_1d(np.asarray(pi, dtype=float))
+    if pi.ndim != 1:
+        raise ValidationError("pi must be a vector")
+    if pi.shape[0] != p:
+        raise ValidationError(f"pi has length {pi.shape[0]} but T is {p}x{p}")
+    if markov:
+        if np.any(pi < -1e-15):
+            i = int(np.argmin(pi))
+            raise ValidationError(f"pi[{i}] = {pi[i]} is negative")
+        pi = np.maximum(pi, 0.0)
+    return pi
+
+
 def ph_new(pi, T, markov: bool = True, exit=None) -> PHDist:
     """Validate and build a PH / ME representation.
 
@@ -142,20 +161,12 @@ def ph_new(pi, T, markov: bool = True, exit=None) -> PHDist:
     exit : array_like, optional
         Explicit exit-rate vector; only allowed for ME representations.
     """
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    if pi.ndim != 1:
-        raise ValidationError("pi must be a vector")
-    p = pi.shape[0]
     if markov:
         if exit is not None:
             raise ValidationError("a Markov representation derives its exit vector from T")
         T = check_sub_intensity(T)
-        if T.shape[0] != p:
-            raise ValidationError(f"pi has length {p} but T is {T.shape[0]}x{T.shape[0]}")
-        if np.any(pi < -1e-15):
-            i = int(np.argmin(pi))
-            raise ValidationError(f"pi[{i}] = {pi[i]} is negative")
-        pi = np.maximum(pi, 0.0)
+        p = T.shape[0]
+        pi = _check_start(pi, p)
         total = pi.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"pi sums to {total}, not 1 (atom at zero not supported)")
@@ -164,8 +175,8 @@ def ph_new(pi, T, markov: bool = True, exit=None) -> PHDist:
         return PHDist(pi, T, t, True, np.ones(p))
 
     T = check_square(T)
-    if T.shape[0] != p:
-        raise ValidationError(f"pi has length {p} but T is {T.shape[0]}x{T.shape[0]}")
+    p = T.shape[0]
+    pi = _check_start(pi, p, markov=False)
     if p > MAX_DIM:
         raise ValidationError(f"order {p} exceeds the supported maximum {MAX_DIM}")
     eigs = np.linalg.eigvals(T)

@@ -2,9 +2,10 @@
 
 Nothing here touches the production numerics: matrix exponentials come
 from a high-precision Taylor series, general matrix functions from a
-contour quadrature, product integrals from a coarse left-product, the
-EM E-step from the plain K-step uniformization recurrences, and the
-scalar family densities are typed in from their closed forms.
+contour quadrature, product integrals from a coarse left-product or a
+tight DOP853 solve of the matrix ODE, the EM E-step from the plain K-step
+uniformization recurrences, and the scalar family densities are typed in
+from their closed forms.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,18 @@ def left_product(path_matrix, s: float, t: float, steps: int):
         u = 0.5 * (grid[k] + grid[k + 1])
         M = M @ (np.eye(A0.shape[0]) + h * np.asarray(path_matrix(u), dtype=float))
     return M
+
+
+def ode_product_integral(path_matrix, s: float, t: float):
+    """Solution at t of dM/du = M T(u), M(s) = I, by DOP853 at rtol 1e-13."""
+    p = np.asarray(path_matrix(s), dtype=float).shape[0]
+
+    def rhs(u, m):
+        return (m.reshape(p, p) @ np.asarray(path_matrix(u), dtype=float)).ravel()
+
+    sol = solve_ivp(rhs, (s, t), np.eye(p).ravel(), method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(p, p)
 
 
 # ---------------------------------------------------------------------------

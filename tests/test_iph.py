@@ -1,7 +1,9 @@
 """Inhomogeneous layer: rate functions, scaled families, product integrals,
 thinning simulation."""
 
+import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -34,10 +36,18 @@ from iphfit.iph import (
     scaled_path,
     thinning_sample,
 )
+from iphfit import iph
 from iphfit.matfun import AnalyticFunction
 from iphfit.phcore import erlang_rep, ph_mean, ph_new, ph_pdf, ph_sample, ph_sf
 
-from oracles import ks_critical, ks_distance, left_product, random_probability, random_sub_intensity
+from oracles import (
+    ks_critical,
+    ks_distance,
+    left_product,
+    ode_product_integral,
+    random_probability,
+    random_sub_intensity,
+)
 
 
 def rate_suite():
@@ -316,6 +326,109 @@ def test_product_integral_chapman_kolmogorov():
     assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
+def test_product_integral_smooth_noncommuting_path():
+    T0 = np.array([[-2.0, 1.0, 0.5], [0.3, -1.5, 0.7], [0.2, 0.1, -1.0]])
+    B = np.array([[-1.0, 0.0, 0.9], [0.5, -0.8, 0.0], [0.0, 0.6, -0.7]])
+    assert np.max(np.abs(T0 @ B - B @ T0)) > 0.1
+    path = path_new(lambda u: T0 + 0.5 * (1.0 + np.sin(u)) * B, "smooth")
+    got = product_integral(path, 0.0, 4.0)
+    want = ode_product_integral(path.at, 0.0, 4.0)
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 1.3, 1.95])
+def test_product_integral_finds_an_undeclared_jump(c):
+    # no node of a step lies within 0.1 h of its ends; a jump there must
+    # still shrink the step, though no breakpoint declares it
+    A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    B = np.array([[-2.0, 0.0], [1.5, -1.5]])
+    path = path_new(lambda u: A if u < c else B, "jump", check_times=[0.01, 1.99])
+    got = product_integral(path, 0.0, 2.0)
+    assert np.max(np.abs(got - sla.expm(c * A) @ sla.expm((2.0 - c) * B))) < 1e-8
+
+
+@pytest.mark.parametrize("c", [0.3, 0.7, 1.5])
+def test_product_integral_finds_an_undeclared_kink(c):
+    T0 = np.array([[-2.0, 1.0, 0.5], [0.3, -1.5, 0.7], [0.2, 0.1, -1.0]])
+    B = np.array([[-1.0, 0.0, 0.9], [0.5, -0.8, 0.0], [0.0, 0.6, -0.7]])
+
+    def f(u):
+        return T0 + abs(u - c) * B
+
+    got = product_integral(path_new(f, "kink"), 0.0, 2.0)
+    want = ode_product_integral(f, 0.0, c) @ ode_product_integral(f, c, 2.0)
+    assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.2])
+def test_product_integral_rate_singular_at_zero(beta):
+    # rate(0) = inf: the Gauss nodes are interior, so T(0) is never formed
+    T = np.array([[-2.0, 1.5], [0.3, -1.1]])
+    path = scaled_path(power_rate(beta), T)
+    t0 = time.perf_counter()
+    got = product_integral(path, 0.0, 2.0)
+    elapsed = time.perf_counter() - t0
+    assert np.max(np.abs(got - sla.expm(2.0**beta * T))) < 1e-8
+    assert elapsed < 5.0
+
+
+def _count_mat_exp(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(None)
+        return sla.expm(A)
+
+    monkeypatch.setattr(iph, "mat_exp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_product_integral_costs_three_exponentials_per_piece(monkeypatch, k):
+    rng = np.random.default_rng(65)
+    mats = [random_sub_intensity(rng, 4) for _ in range(k)]
+    path = piecewise_path(np.arange(1, k, dtype=float), mats)
+    calls = _count_mat_exp(monkeypatch)
+    got = product_integral(path, 0.0, float(k))
+    assert len(calls) <= 3 * k
+    want = functools.reduce(np.matmul, [sla.expm(m) for m in mats])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_product_integral_constant_path_costs_three_exponentials(monkeypatch):
+    T = np.array([[-1.0, 0.3], [0.1, -0.8]])
+    path = path_new(lambda u: T, "const")
+    calls = _count_mat_exp(monkeypatch)
+    got = product_integral(path, 0.0, 7.5)
+    assert len(calls) == 3
+    assert np.max(np.abs(got - sla.expm(7.5 * T))) < 1e-12
+
+
+def test_product_integral_names_a_nonfinite_node():
+    T = np.array([[-1.0, 0.3], [0.1, -0.8]])
+    path = path_new(lambda u: T if u < 1.0 else np.full((2, 2), np.nan), "nan", check_times=[0.5])
+    with pytest.raises(ValidationError, match=r"T\(1\.\d*\).*finite"):
+        product_integral(path, 0.0, 2.0)
+
+
+def test_product_integral_names_a_node_of_the_wrong_order():
+    T = np.array([[-1.0, 0.3], [0.1, -0.8]])
+    path = path_new(lambda u: T if u < 1.0 else -np.eye(3), "grows", check_times=[0.5])
+    with pytest.raises(ValidationError, match=r"T\(1\.\d*\) has shape \(3, 3\), expected \(2, 2\)"):
+        product_integral(path, 0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "fill", [np.random.default_rng(66).random, lambda shape: np.full(shape, np.nan)]
+)
+def test_product_integral_step_underflow_ends_the_loop(monkeypatch, fill):
+    # an exponential that never settles rejects every step until u + h == u
+    monkeypatch.setattr(iph, "mat_exp", lambda A: fill(A.shape))
+    path = path_new(lambda u: np.array([[-1.0]]), "const")
+    with pytest.raises(IntegrationError, match="underflowed at u = 1"):
+        product_integral(path, 1.0, 2.0)
+
+
 def test_general_sf_matches_scaled_analytic():
     base = erlang_rep(2, 1.5)
     r = inverse_linear_rate(1.0)
@@ -342,6 +455,48 @@ def test_piecewise_path_lookup_side():
     assert path.at(1.0)[0, 0] == -2.0  # right-continuous at the cut
     with pytest.raises(ValidationError):
         piecewise_path([2.0, 1.0], [A, B, A])
+
+
+@pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf])
+def test_piecewise_path_rejects_nonfinite_cuts(cut):
+    A = np.array([[-1.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        piecewise_path([cut], [A, A])
+
+
+def test_piecewise_path_rejects_mixed_orders():
+    with pytest.raises(ValidationError, match="one order"):
+        piecewise_path([1.0], [np.array([[-1.0]]), -np.eye(2)])
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [([1.0], "pi has length 1 but T is 2x2"), ([1.2, -0.2], r"pi\[1\] = -0.2 is negative")],
+)
+def test_general_sf_and_thinning_check_the_start_vector(pi, message):
+    base = erlang_rep(2, 1.5)
+    path = scaled_path(constant_rate(1.0), base.T)
+    with pytest.raises(ValidationError, match=message):
+        iph_general_sf(pi, path, 1.0)
+    with pytest.raises(ValidationError, match=message):
+        thinning_sample(pi, path, 2.0, np.random.default_rng(5), 10)
+    with pytest.raises(ValidationError, match=message):
+        ph_new(pi, base.T)
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -1.0])
+def test_thinning_rejects_a_bad_rate_bound(bound):
+    base = erlang_rep(1, 1.0)
+    path = scaled_path(constant_rate(1.0), base.T)
+    with pytest.raises(ValidationError, match="rate bound"):
+        thinning_sample(base.pi, path, bound, np.random.default_rng(6), 10)
+
+
+def test_thinning_rejects_a_negative_count():
+    base = erlang_rep(1, 1.0)
+    path = scaled_path(constant_rate(1.0), base.T)
+    with pytest.raises(DomainError, match="count must be nonnegative"):
+        thinning_sample(base.pi, path, 2.0, np.random.default_rng(7), -1)
 
 
 def test_thinning_matches_analytic_sf():
