@@ -135,10 +135,19 @@ def ingest_csv(path, column: int = 0, header_rows: int = 0) -> np.ndarray:
     """Parse one column of positive reals; errors carry line numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
-    values = []
+    body = lines[max(header_rows, 0):]
+    try:
+        values = np.array(
+            [ln.split(",")[column] for ln in body if ln and not ln.isspace()], dtype=float
+        )
+        if values.size and np.all((values > 0) & (values < np.inf)):
+            return values
+    except (IndexError, ValueError):
+        pass
+    # the bulk parse failed: walk the lines to name the first bad one
     for lineno, line in enumerate(lines, start=1):
         if lineno <= header_rows:
             continue
@@ -157,10 +166,7 @@ def ingest_csv(path, column: int = 0, header_rows: int = 0) -> np.ndarray:
             raise DataFileError(f"{path}:{lineno}: not a number: {raw!r}") from exc
         if not math.isfinite(v) or v <= 0:
             raise DataFileError(f"{path}:{lineno}: values must be positive reals, got {raw}")
-        values.append(v)
-    if not values:
-        raise DataFileError(f"{path}: no data rows found")
-    return np.array(values)
+    raise DataFileError(f"{path}: no data rows found")
 
 
 def auto_shift(data) -> float:
@@ -180,11 +186,16 @@ def _auto_shift_from(u_min: float) -> float:
 # fit orchestration
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header: str, rows) -> None:
+def _csv_text(*cols) -> str:
+    """The columns as comma-separated rows, every cell to 17 digits (.17g)."""
+    A = np.asarray(np.column_stack(cols), dtype=float)
+    row = ",".join(["%.17g"] * A.shape[1]) + "\n"
+    return row * A.shape[0] % tuple(A.ravel().tolist())
+
+
+def _write_csv(path, header: str, *cols) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        fh.write(header + "\n" + _csv_text(*cols))
 
 
 def run_fit(cfg: RunConfig) -> dict:
@@ -245,19 +256,11 @@ def run_fit(cfg: RunConfig) -> dict:
             grid = np.geomspace(lo_y, hi_y, cfg.grid_points)
         else:
             grid = np.linspace(lo_y, hi_y, cfg.grid_points)
-        _write_csv(
-            out("density.csv"),
-            "y,pdf,sf",
-            zip(grid, tph_pdf(model, grid), tph_sf(model, grid)),
-        )
+        _write_csv(out("density.csv"), "y,pdf,sf", grid, tph_pdf(model, grid), tph_sf(model, grid))
 
         n = xs.size
         qs = np.arange(1, n + 1) / (n + 1.0)
-        _write_csv(
-            out("qq.csv"),
-            "empirical,model",
-            zip(np.sort(xs), tph_quantile(model, qs)),
-        )
+        _write_csv(out("qq.csv"), "empirical,model", np.sort(xs), tph_quantile(model, qs))
 
         u = np.asarray(transform.to_x(xs, 1.0), dtype=float) - shift
         dens, edges = np.histogram(u, bins="auto", density=True)
@@ -265,7 +268,7 @@ def run_fit(cfg: RunConfig) -> dict:
         _write_csv(
             out("hist_transformed.csv"),
             "bin_left,bin_right,empirical_density,model_pdf",
-            zip(edges[:-1], edges[1:], dens, ph_pdf(model.base, centers)),
+            edges[:-1], edges[1:], dens, ph_pdf(model.base, centers),
         )
     except BaseException:
         for p in written:
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"count must be nonnegative, got {args.count}")
             model = load_model(args.params)
             draws = tph_sample(model, np.random.default_rng(args.seed), args.count)
-            text = "".join(format(float(v), ".17g") + "\n" for v in draws)
+            text = _csv_text(draws)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)

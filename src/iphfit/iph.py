@@ -523,6 +523,21 @@ def _categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= u[:, None]).sum(axis=1)
 
 
+def _check_exit_rates(ts: np.ndarray, Ts: np.ndarray, rate_bound: float) -> None:
+    """Raise unless every state's exit rate -T_ii(t) is finite and within
+    ``rate_bound`` (to round-off) at each time; the error names the
+    earliest time that fails."""
+    exits = -np.diagonal(Ts, axis1=1, axis2=2)
+    bad = ~(np.isfinite(exits) & (exits <= rate_bound * (1.0 + 1e-12)))
+    if np.any(bad):
+        at = np.flatnonzero(bad.any(axis=1))
+        i = at[np.argmin(ts[at])]
+        raise ValidationError(
+            f"rate bound {rate_bound} is violated at t = {float(ts[i])!r}"
+            f" (exit rates {exits[i].tolist()})"
+        )
+
+
 def thinning_sample(
     pi,
     path: MatrixRatePath,
@@ -535,7 +550,11 @@ def thinning_sample(
     Validation oracle for :func:`iph_general_sf`.  Candidate events arrive
     at the constant rate ``rate_bound`` (which must dominate every exit
     rate -T_ii(t) along the path); each candidate is accepted as a real
-    jump with probability -T_ii(t)/rate_bound.
+    jump with probability -T_ii(t)/rate_bound.  Every state's exit rate is
+    checked against the bound at t = 0, at each breakpoint and just past
+    it, and at every candidate time, so a rate that is unbounded at the
+    start or jumps past the bound on a short piece raises
+    ``ValidationError`` instead of biasing the draws.
     """
     if not (0.0 < rate_bound < np.inf):
         raise ValidationError(f"rate bound must be positive and finite, got {rate_bound}")
@@ -543,6 +562,10 @@ def thinning_sample(
         raise DomainError("count must be nonnegative")
     p = _order(path, 0.0)
     pi = _check_start(pi, p)
+    cuts = [b for b in path.breakpoints if b >= 0.0]
+    ts = np.array([0.0] + cuts + [np.nextafter(b, np.inf) for b in cuts])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _check_exit_rates(ts, path.at_many(ts), rate_bound)
     state = _categorical(pi / pi.sum(), rng.random(count))
     times = np.zeros(count)
     active = np.arange(count)
@@ -552,13 +575,10 @@ def thinning_sample(
         n = active.size
         times[active] += rng.exponential(1.0 / rate_bound, n)
         Ts = path.at_many(times[active])
+        _check_exit_rates(times[active], Ts, rate_bound)
         s = state[active]
         rows = Ts[np.arange(n), s, :]
         dii = -rows[np.arange(n), s]
-        if np.any(dii > rate_bound * (1.0 + 1e-12)):
-            raise ValidationError(
-                f"rate bound {rate_bound} is violated (exit rate {np.max(dii)})"
-            )
         accept = rng.random(n) < dii / rate_bound
         idx = np.flatnonzero(accept)
         dead = np.zeros(n, dtype=bool)

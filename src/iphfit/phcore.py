@@ -295,8 +295,16 @@ def _poisson_blocks(qx: np.ndarray, max_depth=None, keep=False):
     together (``kept``), they lie end to end in it and stay valid together,
     so the whole table can be held; otherwise each block overwrites the
     last, touching no more memory than the largest block: reduce W before
-    taking the next.  Rows with qx <= _UNIF_MAX_QX use the stable forward
-    recurrence; the rest are built in log space.
+    taking the next.
+
+    Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence w_k =
+    w_{k-1} qx / k from w_0 = e^{-qx}.  When there are fewer such rows
+    than columns (a far point's short, wide block), the factors qx/k are
+    written into W and multiplied up along k in one in-place accumulate:
+    a per-column loop would pay two ufunc calls on a few entries for each
+    of hundreds of columns.  Tall blocks keep that loop, which walks the
+    contiguous columns and is faster there.  Rows past _UNIF_MAX_QX, where
+    e^{-qx} nears underflow, are built in log space.
     """
     depth = _poisson_depth(qx)
     if max_depth is not None:
@@ -323,9 +331,13 @@ def _poisson_blocks(qx: np.ndarray, max_depth=None, keep=False):
             if n:
                 Ws, qs = W[:n], qx[lo : lo + n]
                 Ws[:, 0] = np.exp(-qs)
-                for k in range(1, K + 1):
-                    np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
-                    Ws[:, k] /= k
+                if n <= K:
+                    np.divide.outer(qs, np.arange(1.0, K + 1), out=Ws[:, 1:])
+                    np.multiply.accumulate(Ws, axis=1, out=Ws)
+                else:
+                    for k in range(1, K + 1):
+                        np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
+                        Ws[:, k] /= k
             if n < hi - lo:
                 ks = np.arange(K + 1.0)
                 qb = qx[lo + n : hi]

@@ -12,6 +12,8 @@ from iphfit.cli import (
     EXIT_DATA,
     EXIT_OK,
     RunConfig,
+    _csv_text,
+    _write_csv,
     auto_shift,
     eval_cmd,
     ingest_csv,
@@ -65,6 +67,50 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
     p.write_text("")
     with pytest.raises(DataFileError, match="no data"):
         ingest_csv(p)
+
+
+def test_ingest_accepts_the_same_layouts(tmp_path):
+    # CRLF and lone-CR line ends, blank and whitespace-only lines, padded
+    # fields, exponents, a header row and a column past the first
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"id,size\r\n\r\na, 1.5e2 \r\n \t \rb,\t2E-3,x\r\nc,+7.\n\n")
+    assert np.array_equal(ingest_csv(p, column=1, header_rows=1), [150.0, 0.002, 7.0])
+    p.write_text("  4.25\n\n1e-300\n.5")
+    assert np.array_equal(ingest_csv(p), [4.25, 1e-300, 0.5])
+    p.write_text("h1\nh2,x\n3\n")
+    assert np.array_equal(ingest_csv(p, header_rows=2), [3.0])
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("size\n1\n", 0, r":1: not a number: 'size'"),
+        ("1\r\n\r\n2\r\nnan\r\n", 0, r":4: values must be positive reals, got nan"),
+        ("1\n\n 0 \n", 0, r":3: values must be positive reals, got 0$"),
+        ("1,2\n3,inf\n", 1, r":2: values must be positive reals, got inf"),
+        ("1,2\n3\n4,-0.0\n", 1, r":2: needs column 1 but row has 1 fields"),
+        ("1,2\n3,\n", 1, r":2: not a number: ''"),
+        ("\n \n", 0, r": no data rows found"),
+    ],
+)
+def test_ingest_names_the_first_bad_line(tmp_path, text, column, message):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DataFileError, match=message):
+        ingest_csv(p, column=column)
+
+
+def test_csv_text_matches_the_per_cell_format(tmp_path):
+    cells = np.array([0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, -0.0, np.inf,
+                      -np.inf, np.nan, 0.1, 1.0 / 3.0, 2.0**0.5 * 1e300, -123456789.12345678])
+    cols = (cells, cells[::-1], np.arange(cells.size))
+    want = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    assert _csv_text(*cols) == want
+    assert _csv_text(cells) == "".join(format(float(v), ".17g") + "\n" for v in cells)
+    assert _csv_text(np.array([])) == ""
+    out = tmp_path / "t.csv"
+    _write_csv(out, "a,b,c", *cols)
+    assert out.read_bytes() == ("a,b,c\n" + want).encode()
 
 
 def test_auto_shift_rule():

@@ -520,6 +520,28 @@ def test_thinning_detects_rate_bound_violation():
         thinning_sample(base.pi, path, rate_bound=0.05, rng=np.random.default_rng(1), count=100)
 
 
+def test_thinning_rejects_a_rate_unbounded_at_the_start():
+    # exit rate 2 t^(-1/2) passes 50 only for t < 1.6e-3, where few
+    # candidate times fall: the check at t = 0 catches it for every seed
+    path = scaled_path(power_rate(0.5), erlang_rep(1, 2.0).T)
+    for seed in range(20):
+        with pytest.raises(ValidationError, match=r"violated at t = 0\.0 \(exit rates \[inf\]\)"):
+            thinning_sample([1.0], path, 50.0, np.random.default_rng(seed), 20)
+
+
+def test_thinning_checks_every_state_and_each_breakpoint():
+    # a piece of width 1e-9 whose rates pass the bound: candidates at rate
+    # 2 all but never land in it, but the breakpoint check does
+    low = np.array([[-1.0, 0.5], [0.0, -1.0]])
+    path = piecewise_path([1.0, 1.0 + 1e-9], [low, 100.0 * low, low])
+    with pytest.raises(ValidationError, match=r"violated at t = 1\.0 "):
+        thinning_sample([1.0, 0.0], path, 2.0, np.random.default_rng(8), 50)
+    # state 1 is never entered from state 0, yet its exit rate is checked
+    path = scaled_path(constant_rate(1.0), np.diag([-1.0, -5.0]))
+    with pytest.raises(ValidationError, match=r"violated at t = 0\.0 "):
+        thinning_sample([1.0, 0.0], path, 2.0, np.random.default_rng(9), 50)
+
+
 def test_thinning_deterministic_under_seed():
     base = erlang_rep(1, 1.0)
     path = scaled_path(constant_rate(1.0), base.T)

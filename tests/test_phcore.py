@@ -225,6 +225,51 @@ def test_far_points_stop_where_the_law_has_decayed():
     assert cdf[1] + sf[1] == pytest.approx(1.0, abs=1e-14)
 
 
+def _mp_poisson_row(m, K):
+    """Poisson(m) pmf at k = 0..K from mpmath at 40 digits."""
+    import mpmath
+
+    if m == 0.0:
+        return np.eye(1, K + 1)[0]
+    with mpmath.workdps(40):
+        lm, mm = mpmath.log(mpmath.mpf(m)), mpmath.mpf(m)
+        return np.array([float(mpmath.exp(k * lm - mm - mpmath.loggamma(k + 1)))
+                         for k in range(K + 1)])
+
+
+@pytest.mark.parametrize("qx", [0.0, 1e-3, 1.0, 37.5, 280.0, 599.0, 600.0, 601.0])
+def test_poisson_rows_match_mpmath_in_short_and_tall_blocks(qx, monkeypatch):
+    # alone, a point is a one-row block filled along k by one accumulate;
+    # K + 1 copies make a tall block, filled by the per-column loop (the
+    # budget is raised so that one fits at q x = 600, K = 924)
+    monkeypatch.setattr(phcore, "_BLOCK_ENTRIES", 1 << 21)
+    K = int(phcore._poisson_depth(np.array([qx]))[0])
+    want = _mp_poisson_row(qx, K)
+    # rows past _UNIF_MAX_QX come from log space, whose exponent cancels
+    # terms of size K log(q x): about 1e-12 relative (ROADMAP item 4)
+    rtol = 1e-13 if qx <= phcore._UNIF_MAX_QX else 1e-11
+    shapes = []
+    for n in (1, K + 1):
+        [(lo, hi, W)] = list(phcore._poisson_blocks(np.full(n, qx))[1])
+        shapes.append(W.shape)
+        np.testing.assert_allclose(W[0], want, rtol=rtol, atol=0.0)
+        np.testing.assert_array_equal(W[-1], W[0])
+    assert shapes == [(1, K + 1), (K + 1, K + 1)]
+
+
+def test_one_point_matches_its_entry_in_a_batch():
+    # alone a point takes the short-block fill; among 2000 it sits in tall
+    # blocks filled column by column
+    rng = np.random.default_rng(14)
+    d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
+    q = phcore._unif_rate(d.T)
+    xs = np.linspace(0.0, 550.0 / q, 2000)
+    pdf, sf = ph_pdf(d, xs), ph_sf(d, xs)
+    for i in range(0, xs.size, 111):
+        assert float(ph_pdf(d, xs[i])) == pytest.approx(pdf[i], rel=1e-13, abs=0.0)
+        assert float(ph_sf(d, xs[i])) == pytest.approx(sf[i], rel=1e-13, abs=0.0)
+
+
 def test_eval_rejects_bad_arguments():
     d = erlang_rep(1, 1.0)
     with pytest.raises(DomainError):
