@@ -138,22 +138,19 @@ def ingest_csv(path, column: int = 0, header_rows: int = 0) -> np.ndarray:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
-    body = lines[max(header_rows, 0):]
+
+    def rows():
+        """(line number, text) of each data row: past the header, not blank."""
+        numbered = enumerate(lines, start=1)
+        return ((n, ln) for n, ln in numbered if n > header_rows and ln and not ln.isspace())
     try:
-        values = np.array(
-            [ln.split(",")[column] for ln in body if ln and not ln.isspace()], dtype=float
-        )
+        values = np.array([ln.split(",")[column] for _, ln in rows()], dtype=float)
         if values.size and np.all((values > 0) & (values < np.inf)):
             return values
     except (IndexError, ValueError):
         pass
-    # the bulk parse failed: walk the lines to name the first bad one
-    for lineno, line in enumerate(lines, start=1):
-        if lineno <= header_rows:
-            continue
-        line = line.strip()
-        if not line:
-            continue
+    # the bulk parse failed: walk the same rows to name the first bad one
+    for lineno, line in rows():
         fields = line.split(",")
         if column >= len(fields):
             raise DataFileError(

@@ -300,11 +300,13 @@ def _poisson_blocks(qx: np.ndarray, max_depth=None, keep=False):
     Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence w_k =
     w_{k-1} qx / k from w_0 = e^{-qx}.  When there are fewer such rows
     than columns (a far point's short, wide block), the factors qx/k are
-    written into W and multiplied up along k in one in-place accumulate:
-    a per-column loop would pay two ufunc calls on a few entries for each
-    of hundreds of columns.  Tall blocks keep that loop, which walks the
-    contiguous columns and is faster there.  Rows past _UNIF_MAX_QX, where
-    e^{-qx} nears underflow, are built in log space.
+    written into W and multiplied up along k in one in-place accumulate
+    (it makes no temporary copy): a per-column loop would pay two ufunc
+    calls on a few entries for each of hundreds of columns.  Tall blocks
+    keep that loop, which walks the contiguous columns; the accumulate
+    walks each row's strided entries one row at a time and takes about
+    twice as long on blocks of thousands of rows.  Rows past _UNIF_MAX_QX,
+    where e^{-qx} nears underflow, are built in log space.
     """
     depth = _poisson_depth(qx)
     if max_depth is not None:
