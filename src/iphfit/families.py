@@ -21,8 +21,9 @@ Gumbel and GEV laws; moment and transform formulas below evaluate the
 corresponding matrix expressions through the matrix-function kernel.
 
 ParetoExp with ``beta=None`` uses beta = E(X), i.e. g(x) = e^x - 1: the
-log-PH case.  Mixtures sharing one transform stay inside the family and
-``mixture_density`` checks that the resolved transforms agree.
+log-PH case.  Mixtures sharing one transform stay inside the family:
+``mixture_tph`` checks that the resolved transforms agree and builds the
+one law whose density ``mixture_density`` returns.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DivergentMomentError,
@@ -39,7 +39,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .matfun import mat_fun, mat_power_base, power_function, upper_inc_gamma_mat
+from .matfun import _incomplete_gamma, mat_fun, power_function
 from .phcore import (
     PHDist,
     _condition,
@@ -389,30 +389,22 @@ def mp_conditional_excess(d: TransformedPH, x: float) -> TransformedPH:
 def mp_laplace(d: TransformedPH, s: float) -> float:
     """Laplace transform E e^{-sY} = e^a pi a^{-T} Gamma(T, a) t, a = s beta/mu.
 
-    For a > 50 the incomplete-gamma factor underflows against the e^a
-    overflow, so the transform is evaluated by quadrature pulled back to
-    the x scale (the integrand e^{-s g(x)} f_X(x) is bounded by f_X).
+    The three factors cancel into one matrix function: with w = e^x - 1,
+
+        E e^{-sY} = pi L_a(T) t,  L_a(z) = int_0^inf (1+w)^{z-1} e^{-aw} dw
+                                         = e^a a^{-z} Gamma(z, a),
+
+    one Schur-Parlett evaluation.  At every eigenvalue z of T (Re z < 0)
+    the integrand is bounded by 1 in modulus, so neither e^a nor
+    Gamma(T, a) is formed and nothing over- or underflows at any a > 0.
     """
     _expect(d, ParetoExp, "mp_laplace")
     s = float(s)
     if not (s > 0):
         raise DomainError(f"Laplace argument must be positive, got {s}")
-    c = d.transform.scale(d.mu)
-    a = s * c
-    base = d.base
-    if a > 50.0:
-        # substitute v = a(e^x - 1): the integrand e^{-v} f_X(log1p(v/a))/(a+v)
-        # lives on the unit scale however large a is
-        val, _ = quad(
-            lambda v: math.exp(-v) * ph_pdf(base, math.log1p(v / a)) / (a + v),
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        return float(val) if val >= 1e-300 else 0.0
-    Minv = mat_power_base(1.0 / a, base.T)
-    G = upper_inc_gamma_mat(base.T, a)
-    return float(math.exp(a) * (base.pi @ Minv @ G @ base.exit))
+    a = s * d.transform.scale(d.mu)
+    L = mat_fun(d.base.T, _incomplete_gamma(a, scaled=True))
+    return float(d.base.pi @ L @ d.base.exit)
 
 
 def mp_shifted_frac_moment(d: TransformedPH, alpha: float) -> float:
@@ -576,25 +568,13 @@ def erlang_oracle(family: str, n: int, lam: float, y, mu: float = 0.0,
 def mixture_density(weights, components, y):
     """Weighted sum of component densities sharing one transform.
 
-    Equal, by construction, to the density of the single TransformedPH
-    built over mixture_rep of the bases; the transforms must resolve to
-    the same g, since a mixture only collapses to one transformed law
-    when every component is pushed through the same map.
+    Evaluated as the density of :func:`mixture_tph`, the single
+    TransformedPH over mixture_rep of the bases, which checks the weights
+    and that the transforms resolve to the same g: a mixture only
+    collapses to one transformed law when every component is pushed
+    through the same map.
     """
-    w = np.asarray(list(weights), dtype=float)
-    comps = list(components)
-    if w.size != len(comps) or w.size == 0:
-        raise ValidationError("weights and components must be nonempty and of equal length")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValidationError("weights must form a probability vector")
-    keys = {c.transform.resolved_key(c.mu) for c in comps}
-    if len(keys) > 1:
-        raise ValidationError(f"components must share one transform, got {sorted(keys)}")
-    y = np.asarray(y, dtype=float)
-    total = np.zeros(y.shape)
-    for wi, c in zip(w, comps):
-        total = total + wi * tph_pdf(c, y)
-    return float(total) if total.ndim == 0 else total
+    return tph_pdf(mixture_tph(weights, components), y)
 
 
 def mixture_tph(weights, components) -> TransformedPH:
@@ -605,7 +585,9 @@ def mixture_tph(weights, components) -> TransformedPH:
         raise ValidationError(f"components must share one transform, got {sorted(keys)}")
     base = mixture_rep(weights, [c.base for c in comps])
     tr = comps[0].transform
-    if isinstance(tr, ParetoExp):
+    inner = tr.inner if isinstance(tr, ShiftedTransform) else tr
+    if isinstance(inner, ParetoExp):
         # pin the shared scale explicitly; the mixed base has its own mean
-        tr = ParetoExp(beta=tr.scale(comps[0].mu) * ph_mean(base))
+        pinned = ParetoExp(beta=inner.scale(comps[0].mu) * ph_mean(base))
+        tr = pinned if inner is tr else ShiftedTransform(pinned, tr.shift)
     return tph_new(base, tr)

@@ -204,27 +204,43 @@ def complex_quad(fun, a, b, **kwargs):
 def upper_gamma_function(s: float) -> AnalyticFunction:
     """``z -> Gamma(z, s)``, the upper incomplete gamma function in z.
 
-    Entire in z for s > 0.  Value and derivatives are computed by
-    differentiating under the integral sign,
+    Entire in z for s > 0.  With t = s(1 + w), value and derivatives are
 
-        d^k/dz^k Gamma(z, s) = int_s^inf (log t)^k t^{z-1} e^{-t} dt,
+        d^k/dz^k Gamma(z, s) = e^{-s} s^z int_0^inf (log s + log1p w)^k
+                               (1+w)^{z-1} e^{-sw} dw.
 
-    with adaptive quadrature.
+    The integral lacks the factor e^{-s} that puts Gamma(z, s) below any
+    absolute tolerance for large s, so adaptive quadrature runs on a
+    relative tolerance alone; e^{-s} s^z is applied afterwards as one
+    exponential, so neither factor over- or underflows on its own.
     """
     if s <= 0:
         raise DomainError(f"upper incomplete gamma requires s > 0, got {s}")
+    return _incomplete_gamma(s, scaled=False)
+
+
+def _incomplete_gamma(s: float, scaled: bool) -> AnalyticFunction:
+    """Gamma(., s), or with ``scaled`` L_s(z) = e^s s^{-z} Gamma(z, s).
+
+    L_s(z) = int_0^inf (1+w)^{z-1} e^{-sw} dw is the integral of
+    :func:`upper_gamma_function` without its prefactor.
+    """
+    log_s = math.log(s)
+    shift = 0.0 if scaled else log_s
+    c = 1.0 / (1.0 + s)  # w = c v: e^{-sw} decays on the unit v scale for large s
 
     def nth(z, k):
         z = complex(z)
 
-        def integrand(t):
-            return math.log(t) ** k * np.exp((z - 1.0) * math.log(t) - t)
+        def integrand(v):
+            w = c * v
+            return (shift + math.log1p(w)) ** k * (1.0 + w) ** (z - 1.0) * math.exp(-s * w)
 
-        return complex_quad(integrand, s, np.inf)
+        val = c * complex_quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
+        return val if scaled else np.exp(z * log_s - s) * val
 
-    return AnalyticFunction(
-        lambda z: nth(z, 0), nth, name=f"upper_gamma(., {s})"
-    )
+    name = f"{'scaled_' if scaled else ''}upper_gamma(., {s})"
+    return AnalyticFunction(lambda z: nth(z, 0), nth, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ModelDocumentError, ValidationError
+from .errors import DivergentMomentError, ModelDocumentError, ValidationError
 from .families import (
     FAMILIES,
     NegLogAffine,
@@ -41,6 +41,7 @@ from .families import (
     ShiftedTransform,
     TransformedPH,
     ep_mean,
+    mp_shifted_frac_moment,
     mw_moment,
     sp_mean,
     tph_new,
@@ -221,13 +222,11 @@ def model_mean(model: TransformedPH) -> float:
         shift, inner = float(tr.shift), tr.inner
     base = model.base
     if isinstance(inner, ParetoExp):
-        eta = float(np.max(np.linalg.eigvals(base.T).real))
-        if eta >= -1.0:
+        try:
+            exp_moment = mp_shifted_frac_moment(tph_new(base, inner), 1.0)  # E e^X
+        except DivergentMomentError:
             return math.inf
-        c = inner.scale(model.mu)
-        p = base.dim
-        exp_moment = float(base.pi @ np.linalg.solve(-np.eye(p) - base.T, base.exit))
-        return c * (math.exp(shift) * exp_moment - 1.0)
+        return inner.scale(model.mu) * (math.exp(shift) * exp_moment - 1.0)
     if isinstance(inner, ShiftedPower) and inner.xi >= 1.0:
         return math.inf
     if shift == 0.0:

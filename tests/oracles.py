@@ -70,6 +70,42 @@ def contour_matfun(A, h, points: int = 512, pad: float = 1.0):
     return total * (2.0 * math.pi / points) / (2.0j * math.pi)
 
 
+def mp_scaled_upper_gamma(z, a):
+    """e^a a^{-z} Γ(z, a) at mpmath's working precision."""
+    return mpmath.exp(a) * mpmath.power(a, -z) * mpmath.gammainc(z, a)
+
+
+def eig_matfun(A, f, dps: int = 50):
+    """f(A) = V diag(f(λ)) V⁻¹ from mpmath's eigen-decomposition.
+
+    For A with distinct eigenvalues; ``f`` maps an mpmath number to one.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    with mpmath.workdps(dps):
+        E, V = mpmath.eig(mpmath.matrix(A.tolist()))
+        F = V * mpmath.diag([f(lam) for lam in E]) * mpmath.inverse(V)
+        return np.array([[float(mpmath.re(F[i, j])) for j in range(n)] for i in range(n)])
+
+
+def confluent_matfun(A, f, dps: int = 50):
+    """f(A) = Σₙ f⁽ⁿ⁾(λ) (A − λI)ⁿ / n! for A whose one eigenvalue is λ = A[0, 0].
+
+    The Jordan-block expansion, which terminates because A − λI is
+    nilpotent; derivatives by mpmath's ``diff``.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    lam = float(A[0, 0])
+    with mpmath.workdps(dps):
+        M = mpmath.matrix(A.tolist()) - lam * mpmath.eye(n)
+        F, P = mpmath.zeros(n, n), mpmath.eye(n)
+        for k in range(n):
+            F += mpmath.diff(f, lam, k) / mpmath.factorial(k) * P
+            P = P * M
+        return np.array([[float(F[i, j]) for j in range(n)] for i in range(n)])
+
+
 def quad_upper_gamma_matrix(T, s: float, upper: float = 400.0, steps: int = 200001):
     """Entry-wise Simpson quadrature of the defining integral of Γ(T, s).
 

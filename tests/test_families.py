@@ -41,6 +41,8 @@ from iphfit.families import (
 from iphfit.phcore import erlang_rep, ph_mean, ph_new, ph_pdf
 
 from oracles import (
+    confluent_matfun,
+    eig_matfun,
     erlang_gev_pdf,
     erlang_gumbel_pdf,
     erlang_weibull_pdf,
@@ -53,6 +55,7 @@ from oracles import (
     ks_distance,
     log_erlang_pdf,
     log_erlang_sf,
+    mp_scaled_upper_gamma,
     pareto_pdf,
     pareto_sf,
     random_probability,
@@ -382,8 +385,10 @@ def test_laplace_transform_against_quadrature():
     for s in (0.5, 1.0, 2.0):
         want, _ = quad(lambda y: math.exp(-s * y) * float(tph_pdf(d, y)), 0.0, 300.0, limit=400)
         assert mp_laplace(d, s) == pytest.approx(want, rel=1e-8)
-    # mass check at the s -> 0+ limit; s = 0 itself is out of domain
-    assert mp_laplace(d, 1e-4) == pytest.approx(1.0, abs=1e-3)
+    # near the s -> 0+ limit (total mass 1); s = 0 itself is out of domain
+    want = float(d.base.pi @ confluent_matfun(d.base.T, lambda z: mp_scaled_upper_gamma(z, 1e-4))
+                 @ d.base.exit)
+    assert mp_laplace(d, 1e-4) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         mp_laplace(d, 0.0)
 
@@ -399,6 +404,31 @@ def test_laplace_large_argument_route():
             limit=400,
         )
         assert mp_laplace(d, s) == pytest.approx(want, rel=1e-8)
+
+
+# the 5-phase law of the query-mix benchmark workload: distinct real eigenvalues
+QUERY_MIX_PI = np.array([0.5, 0.2, 0.15, 0.1, 0.05])
+QUERY_MIX_T = np.array([
+    [-4.0, 2.0, 0.5, 0.0, 0.0],
+    [0.5, -3.0, 1.5, 0.5, 0.0],
+    [0.0, 0.5, -2.5, 1.0, 0.5],
+    [0.0, 0.0, 0.4, -2.0, 0.8],
+    [0.0, 0.0, 0.0, 0.3, -1.6],
+])
+
+
+@pytest.mark.parametrize("a", [1e-4, 1e-2, 0.5, 5.0, 10.0, 20.0, 30.0, 50.0, 80.0, 500.0])
+@pytest.mark.parametrize("law", ["query-mix", "erlang-2-3"])
+def test_laplace_matches_mpmath_over_six_decades(law, a):
+    # scale 1, so a = s; Erlang(2, 3) is one Jordan block and takes the
+    # confluent Taylor path of the Schur-Parlett evaluation
+    if law == "query-mix":
+        base, reference = ph_new(QUERY_MIX_PI, QUERY_MIX_T), eig_matfun
+    else:
+        base, reference = erlang_rep(2, 3.0), confluent_matfun
+    d = tph_new(base, ParetoExp(beta=None))
+    L = reference(base.T, lambda z: mp_scaled_upper_gamma(z, a))
+    assert mp_laplace(d, a) == pytest.approx(float(base.pi @ L @ base.exit), rel=1e-12)
 
 
 def test_shifted_frac_moment_and_divergence():
@@ -518,6 +548,22 @@ def test_mixture_tph_equals_mixture_density():
     mixed = mixture_tph(w, comps)
     ys = np.geomspace(0.05, 40.0, 50)
     assert np.max(np.abs(tph_pdf(mixed, ys) - mixture_density(w, comps, ys))) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_mixture_of_pareto_laws_keeps_the_shared_scale(shift):
+    # beta = 2 on a mean-1 base and beta = 4 on a mean-2 base: both scales
+    # are 2, while the mixed base has mean 1.6
+    def tr(beta):
+        g = ParetoExp(beta=beta)
+        return g if shift == 0.0 else ShiftedTransform(g, shift)
+
+    comps = [tph_new(erlang_rep(2, 2.0), tr(2.0)), tph_new(erlang_rep(2, 1.0), tr(4.0))]
+    w = [0.4, 0.6]
+    ys = np.geomspace(0.05, 40.0, 50)
+    want = w[0] * tph_pdf(comps[0], ys) + w[1] * tph_pdf(comps[1], ys)
+    assert np.max(np.abs(tph_pdf(mixture_tph(w, comps), ys) - want)) < 1e-12
+    assert np.max(np.abs(mixture_density(w, comps, ys) - want)) < 1e-12
 
 
 def test_shifted_transform_layers_cleanly():

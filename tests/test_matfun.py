@@ -20,6 +20,7 @@ from iphfit.matfun import (
 )
 
 from oracles import (
+    confluent_matfun,
     contour_matfun,
     quad_upper_gamma_matrix,
     random_sub_intensity,
@@ -168,6 +169,19 @@ def test_upper_inc_gamma_confluent_erlang_block():
     assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < 1e-6
     diag_exact = float(mpmath.gammainc(lam, s))
     assert abs(got[0, 0] - diag_exact) < 1e-9
+
+
+@pytest.mark.parametrize("s", [1.0, 20.0, 50.0])
+def test_upper_inc_gamma_erlang_block_matches_mpmath(s):
+    # Erlang(3, 2) sub-intensity block: Gamma(z, s) near z = -2 is of order
+    # s^{-3} e^{-s}, far below any absolute quadrature tolerance
+    import mpmath
+
+    lam = 2.0
+    T = -lam * np.eye(3) + np.diag([lam, lam], 1)
+    want = confluent_matfun(T, lambda z: mpmath.gammainc(z, s))
+    got = upper_inc_gamma_mat(T, s)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_upper_inc_gamma_rejects_bad_s():
