@@ -7,24 +7,32 @@ times, jump counts and exits per state.  All of them reduce to entries of
     e^{Ty},   and   U(y) = int_0^y e^{Tu} t pi e^{T(y-u)} du,
 
 where U(y) is the top-right block of the exponential of the 2p x 2p
-matrix [[T, t pi], [0, T]].  That block exponential is evaluated for the
-whole sample at once by uniformization: with q at or above the largest
-exit rate (at first the q of evaluation, ``phcore._unif_rate``), the 2p x 2p
-matrix M = [[P, t pi / q], [0, P]] with P = I + T/q is elementwise
-nonnegative, e^{Cy} is a Poisson mixture of its powers, and the
-per-point mixtures collapse to one matrix polynomial G = sum_k g_k M^k
-shared by every statistic.  One EM iteration costs O(sqrt K) products of
-2p x 2p matrices (Paterson-Stockmeyer) plus an O(N K) reduction of the
-Poisson weights, laid out in bounded row blocks over the ascending data,
-so each point only pays for the depth of its own block.  The weights
-depend only on q y and any q at or above the largest exit rate is exact,
-so a fit builds them once and reuses them while later rates stay in
-[q/2, q] (a larger q only lengthens the series), rebuilding at an
-iterate's own rate otherwise.  A table over the one-buffer budget of
-``phcore._poisson_blocks`` is streamed afresh each iteration instead, so
-no N x K table is held.  The blocks are reduced in a fixed order with
-fixed BLAS products, so a fit is bitwise reproducible for a given input
-and BLAS thread count.
+matrix C = [[T, t pi], [0, T]].  That block exponential is evaluated for
+the whole sample at once by the anchored uniformization of ``phcore``:
+with q at or above the largest exit rate, M = I + C / q = [[P, t pi / q],
+[0, P]] (P = I + T/q) is elementwise nonnegative, and a datum at
+q y = b + delta (b its anchor cell, delta < 1) has e^{Cy} = e^{C x_b}
+e^{C delta / q}.  The anchors e^{C x_b} / s_b of the occupied cells come
+from one walk over the squarings of the step e^{C/q} (``phcore._walk``),
+with log s_b carried beside them, s_b = pi e^{T x_b} e; each datum's
+window is a Poisson(delta) mixture of M^k over k <= 20, deeper only
+where ``phcore._window_groups`` finds that the stated bound on the dropped
+terms asks for it.  So
+
+    sum_i wt_i e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) sum_k g_bk M^k,
+
+g_bk = sum over the cell's data of wt_i Pois(k; delta_i) / (f_i / s_b), a
+sum in which nothing under- or overflows, and the log-likelihood is
+sum_i wt_i (log(f_i / s_b) + log s_b): finite for a datum whose density
+is far below the float range.  One EM iteration costs a few dozen
+products of 2p x 2p matrices plus two passes over the N x 21 table of
+window rows.  The rows depend only on q y and any q at or above the
+largest exit rate is exact, so a fit builds its table once, at 1.1 times
+the rate that asks for it, and reuses it while later rates stay in
+[q/2, q]; a table over the one-buffer budget ``phcore._BLOCK_ENTRIES`` is
+streamed afresh each iteration in row chunks instead.  The sums run in a
+fixed order with fixed BLAS and sparse products, so a fit is bitwise
+reproducible for a given input and BLAS thread count.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -37,17 +45,16 @@ baseline.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError,
     DegenerateStateError,
     DegenerateStateWarning,
-    DomainError,
     ShiftError,
     ValidationError,
 )
@@ -58,14 +65,20 @@ from .families import (
     tph_new,
 )
 from .phcore import (
+    _BLOCK_ENTRIES,
+    _STEP_DEPTH,
+    _WINDOW_DEPTH,
     PHDist,
-    _poisson_blocks,
-    _poisson_depth,
+    _cells,
+    _exp_action,
+    _nonneg_powers,
     _unif_rate,
-    _unif_rows,
+    _unif_squarings,
+    _walk,
+    _window_groups,
+    _window_rows,
     erlang_rep,
     ph_new,
-    ph_pdf,
 )
 
 __all__ = [
@@ -145,96 +158,122 @@ def _check_data(data) -> np.ndarray:
 
 
 def ph_loglik(d: PHDist, data) -> float:
-    """Sum of log densities; -inf if any point has zero density."""
-    ys = _check_data(data)
-    dens = ph_pdf(d, ys)
-    if np.any(dens <= 0.0):
-        return -np.inf
-    return float(np.sum(np.log(dens)))
+    """Sum of log densities; -inf if any point has zero density.
+
+    Markov laws take the logs from the anchored uniformization windows, so
+    a far point whose density is below the float range still counts.
+    """
+    return float(np.sum(_exp_action(d, _check_data(data), d.exit, log=True)))
 
 
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
 
+# a fit builds its Poisson table at this multiple of the rate that asks for
+# it, so iterates whose rate rises by up to 10% reuse it
+_TABLE_MARGIN = 1.1
+
+
+def _per_cell(cell: np.ndarray, m: int):
+    """The m x n sparse matrix that sums n points into their cells, for
+    ``cell`` ascending; its data are the weights, to be set before use."""
+    ptr = np.searchsorted(cell, np.arange(m + 1)).astype(np.int32)
+    return csr_matrix((np.ones(cell.size), np.arange(cell.size, dtype=np.int32), ptr),
+                      shape=(m, cell.size))
+
+
+def _windows(ys: np.ndarray, q: float):
+    """Chunks (lo, cells, cell, delta, W, per_cell) of the windows of q * ys.
+
+    ``ys`` ascending; each chunk covers ys[lo:lo + n] with at most
+    _BLOCK_ENTRIES Poisson entries: the anchor cells of those points as
+    from ``phcore._cells``, their Poisson rows W at depth _WINDOW_DEPTH,
+    and the ``_per_cell`` sum over their cells.
+    """
+    rows = _BLOCK_ENTRIES // (_WINDOW_DEPTH + 1)
+    for lo in range(0, ys.size, rows):
+        cells, cell, delta = _cells(q * ys[lo : lo + rows])
+        yield (lo, cells, cell, delta, _window_rows(delta, _WINDOW_DEPTH),
+               _per_cell(cell, cells.size))
+
+
 def _poisson_table(ys: np.ndarray, q: float):
-    """(q, blocks): the Poisson blocks of q * ys, all held at once, or None
-    when together they pass the one-buffer budget of ``_poisson_blocks``."""
-    kept, blocks = _poisson_blocks(q * ys, keep=True)
-    return (q, list(blocks)) if kept else None
+    """(q, chunks): every window of q * ys held at once, or None when their
+    Poisson rows pass the one-buffer budget _BLOCK_ENTRIES."""
+    if ys.size * (_WINDOW_DEPTH + 1) > _BLOCK_ENTRIES:
+        return None
+    # rows laid out C-ordered, copied once: each E-step then reads them
+    # twice, about twice as fast as column by column
+    return q, [(lo, cells, cell, delta, np.ascontiguousarray(W), per_cell)
+               for lo, cells, cell, delta, W, per_cell in _windows(ys, q)]
 
 
 def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     """Aggregated E-step statistics and the current log-likelihood.
 
-    ``ys`` must be ascending (np.unique output), as the Poisson block
-    builder needs.  ``table`` is a ``_poisson_table`` of ``ys`` built at any
-    rate q >= _unif_rate(T); the depth K, the rows pi P^k t and M all use
-    that q.  Without one, the blocks are streamed at _unif_rate(T).
-    Returns (starts, sojourn, jumps, exits, loglik); starts/sojourn/exits
-    are per-state sums over the weighted sample, jumps is the p x p matrix
-    of expected transition counts.
+    ``ys`` must be ascending (np.unique output).  ``table`` is a
+    ``_poisson_table`` of ``ys`` built at any rate q >= _unif_rate(T); the
+    cells, M and its powers all use that q.  Without one, the windows are
+    streamed at _unif_rate(T).  Returns (starts, sojourn, jumps, exits,
+    loglik); starts/sojourn/exits are per-state sums over the weighted
+    sample, jumps is the p x p matrix of expected transition counts.
     """
     pi, T, t = d.pi, d.T, d.exit
     p = d.dim
     if table is None:
         q = _unif_rate(T)
-        blocks = _poisson_blocks(q * ys)[1]
+        chunks = _windows(ys, q)
     else:
-        q, blocks = table
-    P1 = np.eye(p) + T / q
-    K = int(_poisson_depth(q * ys[-1]))
-    fr = _unif_rows(pi, P1, K)[: K + 1] @ t  # pi P1^k t for k = 0..K
-
-    # every statistic shares the same per-order weights g_k; blocks are
-    # reduced in a fixed order, so the sums are bitwise repeatable
-    g = np.zeros(K + 1)
-    loglik = 0.0
-    for lo, hi, W in blocks:
-        Kc = W.shape[1]
-        f = W @ fr[:Kc]
-        if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
-            i = lo + int(np.argmin(f))
-            raise DomainError(
-                f"zero likelihood at data point y = {ys[i]}; model cannot explain it"
-            )
-        loglik += float(np.log(f) @ wt[lo:hi])
-        g[:Kc] += (wt[lo:hi] / f) @ W
-    # G = sum_k g_k M^k with M = [[P1, t pi / q], [0, P1]]: its top-left
-    # block is sum_k g_k P1^k, its top-right block is U
-    M = np.zeros((2 * p, 2 * p))
-    M[:p, :p] = M[p:, p:] = P1
+        q, chunks = table
+    # M = I + C / q = [[P, t pi / q], [0, P]], P = I + T / q
+    M = np.eye(2 * p)
+    M[:p, :p] += T / q
+    M[p:, p:] = M[:p, :p]
     M[:p, p:] = np.outer(t, pi) / q
-    G = _nonneg_polyval(g, M)
+    powers = _nonneg_powers(M, _STEP_DEPTH)
+    # M's top rows sum to one, its bottom rows fall short by t / q
+    deficit = np.append(np.zeros(p), t / q)
+    squarings = _unif_squarings(powers, deficit, int(q * ys[-1]).bit_length())
+    span = max(1, _BLOCK_ENTRIES // (4 * p * p))  # anchors held at once
+
+    # G = sum_i wt_i e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) G_b, G_b the
+    # window polynomial sum_k g_bk M^k; the sums run in a fixed order, so
+    # they are bitwise repeatable
+    G = np.zeros((2 * p, 2 * p))
+    loglik = 0.0
+    for lo, cells, cell, delta, W, per_cell in chunks:
+        for c0 in range(0, cells.size, span):
+            m = min(span, cells.size - c0)
+            a, z = np.searchsorted(cell, [c0, c0 + m])
+            E, logs = _walk(np.eye(2 * p), cells[c0 : c0 + m], squarings)
+            # s_b = pi e^{T x_b} e, from the top-left blocks
+            alpha = pi @ E[:, :p, :p]
+            s = alpha.sum(axis=1)
+            alpha /= s[:, None]
+            logs += np.log(s)
+            E = E.reshape(m, -1) / s[:, None]
+            at_cell, w = cell[a:z] - c0, wt[lo + a : lo + z]
+            for sub, Wg, f, done, pw in _window_groups(
+                    alpha, powers[: _WINDOW_DEPTH + 1], t, delta[a:z], at_cell, W[a:z]):
+                at, wd = at_cell[sub], w[sub] * done
+                c = np.divide(wd, f, out=np.zeros(f.size), where=done)
+                with np.errstate(divide="ignore"):
+                    logf = np.log(f, out=np.zeros(f.size), where=done)
+                loglik += float(logf @ wd) + float(logs @ np.bincount(at, wd, m))
+                # per cell: g_bk = sum of c_i W_ik over the cell's points;
+                # a group of all the chunk's points has the chunk's cells
+                S = per_cell if f.size == cell.size else _per_cell(at, m)
+                S.data = c
+                g = S @ Wg
+                H = (g.T @ E).reshape(-1, 2 * p, 2 * p)
+                G += np.matmul(H, pw).sum(axis=0)
     G11, U = G[:p, :p], G[:p, p:]
     starts = pi * (G11 @ t)
     exits = t * (pi @ G11)
     sojourn = np.diag(U).copy()
     jumps = T * U.T
     return starts, sojourn, jumps, exits, loglik
-
-
-def _nonneg_polyval(c: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """sum_k c_k M^k by Paterson-Stockmeyer, about 2 sqrt(K) matrix products.
-
-    With s = ceil(sqrt(K + 1)) the powers I..M^{s-1} are stacked once; one
-    tensordot forms every chunk B_j = sum_i c_{js+i} M^i, and Horner's rule
-    in M^s adds them up.  For nonnegative c and M every term is
-    nonnegative, so nothing cancels, and the order of the sums is fixed.
-    """
-    s = math.isqrt(c.size - 1) + 1
-    powers = np.empty((s, *M.shape))
-    powers[0] = np.eye(M.shape[0])
-    for i in range(1, s):
-        powers[i] = powers[i - 1] @ M
-    Ms = powers[-1] @ M
-    chunks = np.zeros(-(-c.size // s) * s)
-    chunks[: c.size] = c
-    B = np.tensordot(chunks.reshape(-1, s), powers, axes=1)
-    G = B[-1]
-    for j in range(B.shape[0] - 2, -1, -1):
-        G = G @ Ms + B[j]
-    return G
 
 
 def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):
@@ -325,7 +364,7 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
         rate = _unif_rate(d.T)
         if table is None or not table[0] / 2 <= rate <= table[0]:
             table = None  # free the old buffer before the next is built
-            table = _poisson_table(uy, rate)
+            table = _poisson_table(uy, _TABLE_MARGIN * rate)
         return _estep(d, uy, wt, table)
 
     trace: list[float] = []

@@ -84,7 +84,10 @@ def check_sub_intensity(T, name: str = "T") -> np.ndarray:
 
     Requires nonnegative off-diagonal entries, strictly negative diagonal,
     row sums <= 0 (up to round-off slack), invertibility, and all
-    eigenvalues in the open left half-plane (every state transient).
+    eigenvalues in the open left half-plane (every state transient).  As
+    -T is a Z-matrix, the last holds exactly when -T is a nonsingular
+    M-matrix, that is when x = (-T)^{-1} e is positive, which the solve for
+    invertibility already gives.
     """
     T = check_square(T)
     p = T.shape[0]
@@ -106,10 +109,10 @@ def check_sub_intensity(T, name: str = "T") -> np.ndarray:
         i = int(np.argmax(row_sums))
         raise ValidationError(f"{name}: row {i} sums to {row_sums[i]} > 0")
     try:
-        np.linalg.solve(T, np.ones(p))
+        x = np.linalg.solve(-T, np.ones(p))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{name} is singular: {exc}") from exc
-    if np.max(np.linalg.eigvals(T).real) >= 0:
+    if not np.all(x > 0):
         raise ValidationError(f"{name}: an eigenvalue has nonnegative real part")
     return T
 
@@ -357,6 +360,8 @@ def _taylor_atom(Tblk: np.ndarray, h: AnalyticFunction) -> np.ndarray:
     last = np.inf
     for k in range(1, kmax + 1):
         P = P @ M
+        if not P.any():
+            return F  # M^k = 0: every later term vanishes, no derivative is needed
         coeff = h.derivative(sigma, k) / math.factorial(k)
         term = coeff * P
         F += term

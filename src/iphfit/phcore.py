@@ -22,10 +22,24 @@ form for one phase, positive-series uniformization for Markov generators
 (no cancellation, preserves relative accuracy; the distribution function
 is a positive series of its own), and for non-Markov representations an
 eigen-decomposition, with per-point matrix exponentials when the
-eigenvectors are ill-conditioned.  Uniformization sorts the points once
-and reduces blocks of Poisson weights (``_poisson_blocks``, shared with
-the EM E-step, as are the rate ``_unif_rate`` and the doubled rows
-``_unif_rows``) against one coefficient vector, at every q x.
+eigenvectors are ill-conditioned.
+
+Uniformization is anchored, one kernel shared with the EM E-step.  With q
+just above the largest exit rate (``_unif_rate``) and P = I + T/q, a point
+at q x = b + delta lies in the anchor cell b = floor(q x), at an offset
+delta < 1, and
+
+    pi e^{Tx} v = s_b sum_k Pois(k; delta) alpha_b P^k v,
+
+with the anchor row alpha_b = pi e^{T b/q} / s_b scaled to sum to one and
+log s_b kept beside it (``_walk``, over the squarings of the step
+e^{T/q} from ``_unif_squarings``, which keep a slow decay exact to a few
+ulp).  Every point then pays a window of the same short depth, 20 terms
+(the Chernoff bound puts the Poisson(delta < 1) tail below e^-40), unless
+the stated bound on its dropped terms asks for a deeper one
+(``_window_groups``): coefficients that grow with k, as for an Erlang law
+whose exit lies many steps away, get them.  Nothing under- or overflows:
+the log of a density far below the float range comes out finite.
 
 Quantiles, and the inverse primitives of ``iph``, come from one
 root-finder, ``_solve_increasing``: one geometric grid of four points per
@@ -44,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln
 
 from .errors import (
     DegenerateConditioningError,
@@ -80,17 +94,38 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# uniformization: past this q*x the forward recurrence's e^{-qx} start
-# underflows, so those Poisson weight rows are built in log space; every
-# series term is nonnegative, so the sum is exact to round-off either way.
-_UNIF_MAX_QX = 600.0
+# uniformization windows: a point at q x = b + delta (b = floor(q x)) sums a
+# Poisson(delta) series from the anchor row of its cell b, first over
+# k <= _WINDOW_DEPTH, where the Chernoff bound e^-m (e m / K)^K puts the
+# Poisson tail below e^-40 for every delta < 1; see _window_groups for
+# when a window goes deeper
+_WINDOW_DEPTH = 20
 
-# Poisson weight tables are built and reduced in row blocks of at most this
-# many entries (4 MiB of float64): peak memory no longer grows as N x K, and
-# larger blocks raised the query path's peak RSS without saving time.
+# the anchor step mixes X^k over k <= _STEP_DEPTH (see _unif_squarings);
+# the doubling that stacks the powers builds 32 of them with the same
+# products as 21
+_STEP_DEPTH = 31
+
+
+def _substep_weights(s: int):
+    """Poisson(2^-s) pmf over k <= _STEP_DEPTH, and P(k < Pois <= K) for
+    k < K: the weights of an anchor substep and of its deficit."""
+    h = 2.0 ** -s
+    ks = np.arange(_STEP_DEPTH + 1.0)
+    w = np.exp(ks * math.log(h) - h - gammaln(ks + 1.0))
+    return w, np.cumsum(w[::-1])[-2::-1]
+
+
+# for every order up to 2 MAX_DIM, the size of the E-step's chain
+_SUBSTEP_WEIGHTS = [_substep_weights(s) for s in range((2 * MAX_DIM - 1).bit_length())]
+
+# the unit round-off: a window series stops once its bound on the dropped
+# terms is at most this share of the kept ones
+_EPS = 2.0 ** -53
+
+# Poisson window rows are built and reduced in row blocks of at most this
+# many entries (4 MiB of float64), so peak memory does not grow as N x K
 _BLOCK_ENTRIES = 1 << 19
-
-_TINY = float(np.finfo(float).tiny)
 
 # the spacing of the uniforms from Generator.random: every one of them but
 # 0 lies above a survival row that sums below this
@@ -261,96 +296,26 @@ def mixture_rep(weights, components) -> PHDist:
 # evaluation backends
 # ---------------------------------------------------------------------------
 
-def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """pi e^{Tx} v for an array of nonnegative x."""
+def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray, log: bool = False) -> np.ndarray:
+    """pi e^{Tx} v for an array of nonnegative x, or its log (-inf where
+    the value is not positive)."""
     xs = np.asarray(xs, dtype=float)
     pi, T = d.pi, d.T
     p = d.dim
-    if p == 1:
-        return pi[0] * v[0] * np.exp(T[0, 0] * xs)
-    if d.markov:
-        return _unif_action(pi, T, v, xs)
-    vals, V = np.linalg.eig(T)
-    if np.linalg.cond(V) < 1e7:
-        w = (pi @ V) * np.linalg.solve(V, v.astype(complex))
-        return (np.exp(np.multiply.outer(xs, vals)) @ w).real
-    return np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
-
-
-def _poisson_depth(qx):
-    """Truncation depth K = m + 12 sqrt(m) + 30 of the Poisson(m) series."""
-    return (qx + 12.0 * np.sqrt(qx) + 30.0).astype(np.int64)
-
-
-def _poisson_blocks(qx: np.ndarray, max_depth=None, keep=False):
-    """Poisson(qx) pmf tables over ascending qx, in row blocks.
-
-    Returns (kept, blocks); ``blocks`` yields (lo, hi, W), W the
-    column-major table of rows lo:hi over k = 0..K, with K the depth of
-    the block's largest qx (at most ``max_depth``), so every row keeps all
-    but a negligible tail.  A block ends where the depth doubles or the
-    table would pass _BLOCK_ENTRIES, whichever comes first (at least one
-    row), so small points never pay for the depth of a far one.  All blocks
-    share one buffer.  With ``keep``, and when they fit _BLOCK_ENTRIES
-    together (``kept``), they lie end to end in it and stay valid together,
-    so the whole table can be held; otherwise each block overwrites the
-    last, touching no more memory than the largest block: reduce W before
-    taking the next.
-
-    Rows with qx <= _UNIF_MAX_QX use the stable forward recurrence w_k =
-    w_{k-1} qx / k from w_0 = e^{-qx}.  When there are fewer such rows
-    than columns (a far point's short, wide block), the factors qx/k are
-    written into W and multiplied up along k in one in-place accumulate
-    (it makes no temporary copy): a per-column loop would pay two ufunc
-    calls on a few entries for each of hundreds of columns.  Tall blocks
-    keep that loop, which walks the contiguous columns; the accumulate
-    walks each row's strided entries one row at a time and takes about
-    twice as long on blocks of thousands of rows.  Rows past _UNIF_MAX_QX,
-    where e^{-qx} nears underflow, are built in log space.
-    """
-    depth = _poisson_depth(qx)
-    if max_depth is not None:
-        depth = np.minimum(depth, max_depth)
-    bounds = []
-    lo = 0
-    while lo < qx.size:
-        hi = int(np.searchsorted(depth, 2 * depth[lo], side="right"))
-        hi = min(hi, lo + max(1, _BLOCK_ENTRIES // (int(depth[hi - 1]) + 1)))
-        bounds.append((lo, hi, int(depth[hi - 1])))
-        lo = hi
-    sizes = [(hi - lo) * (K + 1) for lo, hi, K in bounds]
-    kept = keep and sum(sizes) <= _BLOCK_ENTRIES
-    # one buffer for every block: the budget, or the longest single row
-    row = int(depth[-1]) + 1 if qx.size else 0
-
-    def blocks():
-        buf = np.empty(max(min(_BLOCK_ENTRIES, qx.size * row), row))
-        at = 0
-        for (lo, hi, K), size in zip(bounds, sizes):
-            W = buf[at : at + size].reshape((hi - lo, K + 1), order="F")
-            at += size if kept else 0
-            n = int(np.searchsorted(qx[lo:hi], _UNIF_MAX_QX, side="right"))
-            if n:
-                Ws, qs = W[:n], qx[lo : lo + n]
-                Ws[:, 0] = np.exp(-qs)
-                if n <= K:
-                    np.divide.outer(qs, np.arange(1.0, K + 1), out=Ws[:, 1:])
-                    np.multiply.accumulate(Ws, axis=1, out=Ws)
-                else:
-                    for k in range(1, K + 1):
-                        np.multiply(Ws[:, k - 1], qs, out=Ws[:, k])
-                        Ws[:, k] /= k
-            if n < hi - lo:
-                ks = np.arange(K + 1.0)
-                qb = qx[lo + n : hi]
-                Wb = W[n:]
-                np.multiply.outer(np.log(qb), ks, out=Wb)
-                Wb -= qb[:, None]
-                Wb -= gammaln(ks + 1.0)
-                np.exp(Wb, out=Wb)
-            yield lo, hi, W
-
-    return kept, blocks()
+    if d.markov and p > 1:
+        return _unif_action(pi, T, v, xs, log)
+    with np.errstate(divide="ignore"):
+        if p == 1:
+            if log:
+                return np.log(pi[0] * v[0]) + T[0, 0] * xs
+            return pi[0] * v[0] * np.exp(T[0, 0] * xs)
+        vals, V = np.linalg.eig(T)
+        if np.linalg.cond(V) < 1e7:
+            w = (pi @ V) * np.linalg.solve(V, v.astype(complex))
+            out = (np.exp(np.multiply.outer(xs, vals)) @ w).real
+        else:
+            out = np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
+        return np.log(np.maximum(out, 0.0)) if log else out
 
 
 def _unif_rate(T: np.ndarray) -> float:
@@ -372,44 +337,229 @@ def _unif_rows(pi: np.ndarray, P: np.ndarray, n: int, vanished: float = 0.0) -> 
     return R
 
 
-def _unif_action(pi, T, v, xs, cumulative=False):
-    """Uniformization series sum_k Pois(k; qx) a_k with a_k = pi P^k v.
+def _nonneg_powers(X: np.ndarray, K: int) -> np.ndarray:
+    """X^0, ..., X^K stacked, by doubling (about log2 K stacked products)."""
+    out = np.empty((K + 1, *X.shape))
+    out[0] = np.eye(X.shape[0])
+    have, Xh = 1, X
+    while have <= K:
+        take = min(have, K + 1 - have)
+        np.matmul(out[:take], Xh, out=out[have : have + take])
+        have += take
+        Xh = Xh @ Xh
+    return out
 
-    All terms are nonnegative for Markov generators.  With ``cumulative``
-    the coefficients are a_k = sum_{j<k} pi P^j v / q instead: for v = t
-    that is the distribution function, because (I - P) e = t / q turns
-    1 - pi P^k e into those sums, so small values keep their digits.
 
-    Once pi P^k e falls below the smallest normal float every later a_k
-    is that small (or, cumulative, that close to the last one), so the
-    series stops there and its tail is the last coefficient times the
-    Poisson tail mass: far points cost no more than the law's own decay.
+def _cells(qx: np.ndarray):
+    """Anchor cells of ascending points qx: (cells, cell, delta).
+
+    Point i lies in cell b = floor(qx_i) at offset delta_i = qx_i - b in
+    [0, 1); ``cells`` lists the occupied cells in order, and point i lies
+    in cells[cell[i]] (``cell`` is int32, as sparse indices are).
+    """
+    b = np.floor(qx)
+    delta = qx - b
+    b = b.astype(np.int64)
+    new = np.empty(b.size, dtype=np.int32)
+    new[:1] = 0
+    np.not_equal(b[1:], b[:-1], out=new[1:])
+    cell = np.cumsum(new, dtype=np.int32)
+    return b[np.flatnonzero(np.diff(cell, prepend=-1))], cell, delta
+
+
+def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
+    """The anchor step e^{X - I} and its squarings e^{2^j (X - I)}, j < J.
+
+    ``powers`` stacks X^0..X^K for a nonnegative n x n X, K = _STEP_DEPTH,
+    and u = e - X e >= 0 is its row deficit.  The step is the Poisson(1)
+    mixture of those powers, every term nonnegative.  An entry reached in
+    d <= 20 jumps keeps its relative accuracy: the paths dropped past K
+    weigh about d! / (K + 1)! < 1e-17 of it.  Past n = 21 states the step
+    is the 2^s-th power of the Poisson(2^-s) mixture instead, with 2^s
+    substeps for every four of the n - 1 jumps a path may need, so that one
+    substep takes more than K of them with a chance below 1e-17 (a single
+    mixture would drop every Erlang(n > K) path to the last phase).
+
+    Squaring doubles the relative error of every entry, and a slow decay
+    lives in how far the row sums fall short of one.  So the deficits
+    d = e - A e are carried alongside as nonnegative sums (d' = A d + d),
+    and every fourth squaring each row that keeps at least half its mass
+    has its largest entry reset so that the row sums to 1 - d: the decay
+    then stays within a few dozen ulp of exact over any number of
+    squarings.  Returns [(A_j, log c_j)] with A^{2^j} = c_j A_j, rescaled
+    every fourth squaring once no row keeps half its mass; the list for a
+    smaller J is a prefix of it, so ``_unif_setup`` may keep the longest.
+    """
+    n = powers.shape[1]
+    s = 0 if n <= 21 else (n - 1).bit_length() - 2
+    w, tail = _SUBSTEP_WEIGHTS[s]
+    A = (w @ powers.reshape(w.size, -1)).reshape(n, n)
+    d = tail @ (powers[:-1] @ u)
+    rows = np.arange(n)
+    log_c, out = 0.0, []
+    for j in range(s + J):
+        if j % 4 == 0:
+            big = A.max()
+            if log_c == 0.0 and big >= 0.5 / n:
+                top = np.argmax(A, axis=1)
+                reset = 1.0 - d - (A.sum(axis=1) - A[rows, top])
+                A[rows, top] = np.where(d <= 0.5, reset, A[rows, top])
+            elif big > 0.0:
+                # no row keeps half its mass now, so resets are over; from
+                # a largest entry of one, four squarings stay in range
+                A, log_c = A / big, log_c + math.log(big)
+        if j >= s:
+            out.append((A, log_c))
+        if log_c == 0.0:
+            d = d + A @ d
+        A, log_c = A @ A, 2.0 * log_c
+    return out
+
+
+def _walk(X: np.ndarray, cells: np.ndarray, squarings):
+    """X e^{b (Y - I)} for every cell b, from the squarings of the step.
+
+    The low l bits of b come from a table of X e^{r (Y - I)} for every
+    r < 2^l, built by doubling, with 2^l about twice the number of cells
+    (at least 16); the copy of each cell's entry is then multiplied by the
+    squaring j for each higher bit j set in b, so a sparse set of far
+    cells costs one product per bit, not one per cell passed.  Every product is
+    rescaled to entries summing to one; returns (copies, log scales), the
+    copies stacked as (cells, *X.shape).
+    """
+    r, n = X.shape
+    l = min(len(squarings), max(int(cells.size).bit_length(), 4))
+    low = np.empty((1 << l, r, n))
+    low[0] = X
+    low_logs = np.zeros(1 << l)
+    for j, (A, log_c) in enumerate(squarings[:l]):
+        h = 1 << j
+        Y = (low[:h].reshape(-1, n) @ A).reshape(h, r, n)
+        s = Y.sum(axis=(1, 2))
+        np.divide(Y, s[:, None, None], out=low[h : 2 * h])
+        low_logs[h : 2 * h] = low_logs[:h] + (np.log(s) + log_c)
+    rest = cells & ((1 << l) - 1)
+    out, logs = np.take(low, rest, axis=0), np.take(low_logs, rest)
+    for j, (A, log_c) in enumerate(squarings[l:], start=l):
+        sel = np.flatnonzero((cells >> j) & 1)
+        if sel.size:
+            Y = (np.take(out, sel, axis=0).reshape(-1, n) @ A).reshape(sel.size, r, n)
+            s = Y.sum(axis=(1, 2))
+            out[sel] = Y / s[:, None, None]
+            logs[sel] += np.log(s) + log_c
+    return out, logs
+
+
+def _window_rows(delta: np.ndarray, K: int) -> np.ndarray:
+    """Poisson(delta) pmf over k = 0..K for each delta in [0, 1).
+
+    Rows of an F-ordered (n, K + 1) array, by the forward recurrence
+    w_k = w_{k-1} delta / k from w_0 = e^{-delta}: no term cancels and
+    none leaves the float range before delta^k / k! does.  Each column is
+    filled in place; a table of the factors delta / k would be one more
+    buffer the size of W to fault in on every call.
+    """
+    W = np.empty((delta.size, K + 1), order="F")
+    np.exp(-delta, out=W[:, 0])
+    for k in range(1, K + 1):
+        np.multiply(W[:, k - 1], delta, out=W[:, k])
+        W[:, k] /= k
+    return W
+
+
+def _window_groups(alpha, powers, v, delta, cell, W=None):
+    """Window sums f_i = sum_{k <= K} Pois(k; delta_i) alpha_{cell_i} P^k v.
+
+    ``alpha`` holds one anchor row per cell (each summing to one); P^k is
+    the top-left block, as wide as alpha, of X^k, where ``powers`` stacks
+    X^0..X^K at K = _WINDOW_DEPTH; and v >= 0.  The points go in depth
+    groups.  Yields (sub, W, f, done, powers) per group: its points (a
+    slice, then ascending indices), their Poisson rows W over k = 0..K,
+    the sums f, which of them are final, and X^0..X^K.  The first group is
+    every point at K = _WINDOW_DEPTH (``W`` may pass its rows in); a point
+    not done comes back in the next group at twice the depth.  Groups are
+    yielded in slices of at most _BLOCK_ENTRIES Poisson entries, but for a
+    ``W`` passed in.
+
+    Depth bound: P is substochastic, so every later coefficient
+    alpha P^k v (k > K) is at most S_K max(v), with S_K = alpha P^K e, and
+    the Poisson tail past K is at most Pois(K; delta) delta / K, since
+    each term is at most delta / (K + 1) times the one before.  A sum is
+    done once that bound on what it drops is at most 2^-53 of it.  The
+    tail leaves the float range before K = 171, so the depth stays below
+    320.
+    """
+    p = alpha.shape[1]
+    vmax = float(np.max(v))
+    K = _WINDOW_DEPTH
+    idx = np.arange(delta.size)
+    rows = delta.size if W is not None else max(1, _BLOCK_ENTRIES // (K + 1))
+    while idx.size:
+        Pk = powers[:, :p, :p]
+        cols = Pk @ v  # P^k v, k = 0..K, as rows
+        reach = Pk[K].sum(axis=1) * (vmax / K)
+        deeper = []
+        for lo in range(0, idx.size, rows):
+            pts = idx[lo : lo + rows]
+            # the first group takes its points as a slice: no copies
+            sub = slice(lo, lo + pts.size) if K == _WINDOW_DEPTH else pts
+            Ws = _window_rows(delta[sub], K) if W is None else W
+            at = cell[sub]
+            f = np.einsum("ij,ij->i", Ws @ cols, np.take(alpha, at, axis=0))
+            # NaN compares false, so it never asks for a deeper series
+            deep = Ws[:, K] * delta[sub] * np.take(alpha @ reach, at) > _EPS * f
+            yield sub, Ws, f, ~deep, powers
+            deeper.append(pts[deep])
+        idx = np.concatenate(deeper)
+        W = None
+        K *= 2
+        rows = max(1, _BLOCK_ENTRIES // (K + 1))
+        if idx.size:
+            powers = _nonneg_powers(powers[1], K)
+
+
+# the powers and anchor squarings of the generator evaluated last: a
+# quantile solve evaluates one law a few dozen times on shrinking sets
+_last_setup = [None]
+
+
+def _unif_setup(T: np.ndarray, q: float, J: int):
+    """(P^0..P^K, the anchor squarings j < J) for P = I + T / q."""
+    key = (T.tobytes(), q)
+    last = _last_setup[0]
+    if last is None or last[0] != key or len(last[2]) < J:
+        powers = _nonneg_powers(np.eye(T.shape[0]) + T / q, _STEP_DEPTH)
+        u = np.maximum(-T.sum(axis=1), 0.0) / q
+        last = _last_setup[0] = (key, powers, _unif_squarings(powers, u, J))
+    return last[1], last[2][:J]
+
+
+def _unif_action(pi, T, v, xs, log=False):
+    """Uniformization series for pi e^{Tx} v (v >= 0), or its log.
+
+    A point at q x = b + delta takes pi e^{Tx} = s_b alpha_b e^{T delta/q}:
+    the anchor row alpha_b = pi e^{T b/q} / s_b of its cell, scaled to sum
+    to one, comes from ``_walk``, which carries log s_b, and the window
+    series sum_k Pois(k; delta) alpha_b P^k v from ``_window_groups``.  No
+    row or sum under- or overflows, so the log is finite wherever the
+    value is positive.  The terms are nonnegative for Markov generators.
     """
     q = _unif_rate(T)
     qx = q * xs
-    order = np.argsort(qx, kind="stable")
-    qx = qx[order]
-    P = np.eye(len(pi)) + T / q
-    # P is substochastic, so once a row sums below `vanished` no later
-    # a_k = pi P^k v exceeds the smallest normal float
-    vanished = _TINY / max(float(np.max(v)), 1.0)
-    n = int(_poisson_depth(qx[-1])) + 1 if qx.size else 0
-    R = _unif_rows(pi, P, n, vanished)
-    small = np.flatnonzero(R.sum(axis=1) < vanished)
-    stopped = small.size > 0 and small[0] <= n
-    if stopped:
-        n = int(small[0])
-    coeffs = np.append(R[:n] @ v, 0.0)
-    if cumulative:
-        coeffs[1:] = np.cumsum(coeffs[:-1]) / q
-        coeffs[0] = 0.0
-    tail = coeffs[n] if stopped else 0.0
-    out = np.empty_like(xs)
-    for lo, hi, W in _poisson_blocks(qx, n - 1)[1]:
-        s = W @ coeffs[: W.shape[1]]
-        if tail and W.shape[1] == n:
-            s += tail * pdtrc(n - 1, qx[lo:hi])
-        out[order[lo:hi]] = s
+    order = np.argsort(qx)
+    cells, cell, delta = _cells(qx[order])
+    powers, squarings = _unif_setup(T, q, int(cells[-1]).bit_length() if cells.size else 0)
+    R, logs = _walk(pi[None, :], cells, squarings)
+    out = np.empty(xs.size)
+    for sub, _, f, done, _ in _window_groups(R[:, 0], powers[: _WINDOW_DEPTH + 1], v, delta, cell):
+        i, at = order[sub], cell[sub]
+        if not done.all():
+            i, at, f = i[done], at[done], f[done]
+        if log:
+            with np.errstate(divide="ignore"):
+                out[i] = np.log(f) + logs[at]
+        else:
+            out[i] = f * np.exp(logs)[at]
     return out
 
 
@@ -448,13 +598,19 @@ def ph_sf(d: PHDist, x):
 def ph_cdf(d: PHDist, x):
     """Distribution function P(X <= x).
 
-    For Markov laws this is a positive uniformization series of its own,
-    so it keeps its relative accuracy where it is tiny; ME laws use
-    1 - ph_sf.
+    For Markov laws this is pi~ e^{T~x} e_a for the chain with its
+    absorbing state a added, T~ = [[T, t], [0, 0]], pi~ = (pi, 0): a
+    positive uniformization series of its own, so it keeps its relative
+    accuracy where it is tiny; ME laws use 1 - ph_sf.
     """
     if not d.markov:
         return 1.0 - ph_sf(d, x)
-    return _eval(x, lambda xs: _unif_action(d.pi, d.T, d.exit, xs, cumulative=True), (0.0, 1.0))
+    p = d.dim
+    T = np.zeros((p + 1, p + 1))
+    T[:p, :p] = d.T
+    T[:p, p] = d.exit
+    pi, e_a = np.append(d.pi, 0.0), np.eye(p + 1)[p]
+    return _eval(x, lambda xs: _unif_action(pi, T, e_a, xs), (0.0, 1.0))
 
 
 def ph_mean(d: PHDist) -> float:

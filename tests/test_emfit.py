@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import iphfit.emfit as emfit
 from iphfit.emfit import (
     FitConfig,
     _estep,
@@ -27,7 +28,7 @@ from iphfit.errors import (
     ValidationError,
 )
 from iphfit.families import ParetoExp, Power, ShiftedTransform, tph_pdf
-from iphfit.phcore import _poisson_blocks, _unif_rate, erlang_rep, ph_new, ph_pdf, ph_sample
+from iphfit.phcore import _unif_rate, erlang_rep, ph_new, ph_pdf, ph_sample
 
 from oracles import random_probability, random_sub_intensity, recurrence_estep
 
@@ -94,8 +95,8 @@ def test_em_step_matches_block_oracle():
 
 
 def test_em_step_matches_block_oracle_across_depth_bands():
-    # one fast state makes q = 105: q y runs from 1 to 680 over many depth
-    # bands, and the last datum's Poisson row is built in log space
+    # one fast state makes q = 105: q y runs from 1 to 680, so the data
+    # span hundreds of anchor cells
     T = np.array([[-100.0, 60.0, 30.0], [0.5, -2.0, 1.0], [0.2, 0.3, -1.0]])
     d0 = ph_new([0.3, 0.3, 0.4], T)
     ys = np.concatenate([np.random.default_rng(72).exponential(1.0, 60) + 0.01,
@@ -142,18 +143,44 @@ def test_estep_with_a_kept_table_matches_step_by_step_recurrences(y_max):
     assert got[4] == pytest.approx(want[4], rel=1e-12)
 
 
-@pytest.mark.parametrize("seed, builds", [(1, 1), (2, 31)])
+def test_estep_of_a_long_erlang_matches_step_by_step_recurrences(monkeypatch):
+    # Erlang(30, 30): its 60-state E-step chain takes the anchor step in
+    # substeps, and its windows near y = 2 need a deeper series than 20
+    d = erlang_rep(30, 30.0)
+    rng = np.random.default_rng(5)
+    ys = np.unique(rng.uniform(0.2, 2.0, 40))
+    wt = rng.integers(1, 4, ys.size).astype(float)
+    depths = []
+    groups = emfit._window_groups
+
+    def recorded(*args, **kwargs):
+        for group in groups(*args, **kwargs):
+            depths.append(group[1].shape[1] - 1)
+            yield group
+
+    monkeypatch.setattr(emfit, "_window_groups", recorded)
+    got = _estep(d, ys, wt)
+    monkeypatch.undo()
+    assert depths[0] == 20 and max(depths) > 20
+    want = recurrence_estep(d, ys, wt)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, builds", [(1, 1), (2, 1)])
 def test_fit_builds_the_poisson_table_once_while_rates_fall(monkeypatch, seed, builds):
     # from seed 1 every iterate's rate falls, so one table serves all 31
-    # E-steps; from seed 2 every rate rises past the last table's q
+    # E-steps; from seed 2 every rate rises (1.53 to 1.66), but stays below
+    # the 1.1x margin the first table is built at
     ys = np.random.default_rng(78).gamma(2.0, 1.0, 400)
     calls = []
 
-    def counted(qx, *args, **kwargs):
-        calls.append(qx.size)
-        return _poisson_blocks(qx, *args, **kwargs)
+    def counted(ys, q):
+        calls.append(q)
+        return _poisson_table(ys, q)
 
-    monkeypatch.setattr("iphfit.emfit._poisson_blocks", counted)
+    monkeypatch.setattr("iphfit.emfit._poisson_table", counted)
     cfg = FitConfig(phases=3, max_iters=30, loglik_rel_tol=1e-300, seed=seed)
     res = fit_ph_em(ys, cfg)
     monkeypatch.undo()
@@ -170,16 +197,44 @@ def test_fit_builds_the_poisson_table_once_while_rates_fall(monkeypatch, seed, b
     np.testing.assert_allclose(res.fitted.T, d.T, rtol=1e-10, atol=0.0)
 
 
-def test_zero_likelihood_names_the_datum_past_the_first_block():
-    ys = np.concatenate([np.linspace(0.1, 3.0, 50), [800.0]])
-    with pytest.raises(DomainError, match=r"y = 800\.0"):
-        em_step(erlang_rep(3, 2.0), ys)
+def _erlang_3_2_loglik(ys):
+    """Closed-form log-likelihood of Erlang(3, 2): f(y) = 4 y^2 e^{-2y}."""
+    return float(np.sum(math.log(4.0) + 2.0 * np.log(ys) - 2.0 * ys))
 
 
-def test_fit_names_the_zero_likelihood_datum_from_a_kept_table():
+@pytest.mark.parametrize("y_far", [400.0, 800.0])
+def test_far_datum_keeps_a_finite_log_likelihood(y_far):
+    # its density (e^-786 at y = 400) is far below the float range; the
+    # anchored windows carry its log scale instead
+    d = erlang_rep(3, 2.0)
+    ys = np.concatenate([np.linspace(0.1, 3.0, 50), [y_far]])
+    want = _erlang_3_2_loglik(ys)
+    assert ph_loglik(d, ys) == pytest.approx(want, rel=1e-13, abs=0.0)
+    ll = _estep(d, ys, np.ones(ys.size))[4]
+    assert ll == pytest.approx(want, rel=1e-13, abs=0.0)
+    stepped = em_step(d, ys)
+    assert ph_loglik(stepped, ys) >= want
+
+
+def test_fit_from_a_kept_table_keeps_the_far_datum():
     ys = np.concatenate([np.linspace(0.1, 3.0, 50), [800.0]])
-    with pytest.raises(DomainError, match=r"y = 800\.0"):
-        fit_ph_em(ys, FitConfig(phases=3, init=erlang_rep(3, 2.0)))
+    res = fit_ph_em(ys, FitConfig(phases=3, max_iters=40, init=erlang_rep(3, 2.0)))
+    assert res.loglik_trace[0] == pytest.approx(_erlang_3_2_loglik(ys), rel=1e-13, abs=0.0)
+    trace = np.array(res.loglik_trace)
+    assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) >= -1e-10 * np.abs(trace[1:]))
+
+
+def test_raw_heavy_tailed_sample_fits():
+    # a lognormal(0, 3) sample spans 1e-6 to 1e5: its far points used to
+    # stop the fit with a zero likelihood before the first iteration
+    rng = np.random.default_rng(3)
+    rng.lognormal(0.0, 2.0, 5000)
+    ys = rng.lognormal(0.0, 3.0, 5000)
+    res = fit_ph_em(ys, FitConfig(phases=5, seed=1))
+    trace = np.array(res.loglik_trace)
+    assert np.all(np.isfinite(trace))
+    assert np.all(np.diff(trace) >= -1e-10 * np.abs(trace[1:]))
+    assert res.loglik == pytest.approx(ph_loglik(res.fitted, ys), rel=1e-12)
 
 
 @pytest.mark.parametrize("u", [200.0, 400.0])

@@ -431,6 +431,27 @@ def test_laplace_matches_mpmath_over_six_decades(law, a):
     assert mp_laplace(d, a) == pytest.approx(float(base.pi @ L @ base.exit), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, calls", [(2, 2), (3, 3)])
+def test_laplace_of_an_erlang_block_pays_no_quadrature_past_nilpotency(monkeypatch, n, calls):
+    # one n x n Jordan block: h and its derivatives up to order n - 1 each
+    # take one quadrature; the order-n term multiplies M^n = 0
+    import iphfit.matfun as matfun
+
+    seen = []
+    quad_c = matfun.complex_quad
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return quad_c(*args, **kwargs)
+
+    monkeypatch.setattr(matfun, "complex_quad", counted)
+    d = tph_new(erlang_rep(n, 3.0), ParetoExp(beta=None))
+    got = mp_laplace(d, 5.0)
+    assert len(seen) == calls
+    L = confluent_matfun(d.base.T, lambda z: mp_scaled_upper_gamma(z, 5.0))
+    assert got == pytest.approx(float(d.base.pi @ L @ d.base.exit), rel=1e-12)
+
+
 def test_shifted_frac_moment_and_divergence():
     lam = 3.0
     d = tph_new(erlang_rep(1, lam), ParetoExp(beta=None))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iphfit.errors import DomainError, ValidationError
 from iphfit.matfun import (
@@ -201,6 +203,70 @@ def test_check_sub_intensity_names_the_violation():
 
     with pytest.raises(SingularMatrixError):
         check_sub_intensity(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+def _eigvals_verdict(T):
+    """The transience rule check_sub_intensity used before: a solve, then
+    every eigenvalue in Re < 0.  Where the largest real part is too close
+    to 0 for float eigenvalues to tell its sign (a class whose rows sum a
+    hair above 0 read as transient in floats), it comes from 30 digits."""
+    try:
+        np.linalg.solve(T, np.ones(len(T)))
+    except np.linalg.LinAlgError:
+        return "singular"
+    top = float(np.max(np.linalg.eigvals(T).real))
+    if abs(top) < 1e-8 * float(np.max(np.abs(T))):
+        import mpmath
+
+        with mpmath.workdps(30):
+            eigs = mpmath.eig(mpmath.matrix(T.tolist()), left=False, right=False)
+            top = float(max(mpmath.re(z) for z in eigs))
+    return "transient" if top < 0 else "recurrent"
+
+
+@st.composite
+def sub_intensities(draw):
+    """Sub-intensity matrices of order 1..6 with rates over 1e-3..1e2, some
+    with a near-closed class: its states exit only by a leak of 1e-10 to
+    1e-4 of their rates, or their rows sum to slightly above zero (within
+    the row-sum slack), which makes the class recurrent."""
+    p = draw(st.integers(1, 6))
+    rate = st.sampled_from([1e-3, 1e2]) | st.floats(1e-3, 1e2)
+    off = np.array(draw(st.lists(st.just(0.0) | rate, min_size=p * p, max_size=p * p)))
+    off = off.reshape(p, p)
+    np.fill_diagonal(off, 0.0)
+    exits = np.array(draw(st.lists(rate, min_size=p, max_size=p)))
+    closed = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    if closed.any():
+        kind = draw(st.sampled_from(["leak", "excess"]))
+        scale = draw(st.sampled_from([1e-10, 1e-7, 1e-4]))
+        off[np.ix_(closed, ~closed)] *= scale if kind == "leak" else 0.0
+        exits[closed] *= scale if kind == "leak" else 0.0
+        if not off[np.ix_(closed, closed)].any():
+            off[np.ix_(closed, closed)] = 1.0 - np.eye(int(closed.sum()))
+    T = off - np.diag(off.sum(axis=1) + exits)
+    if closed.any() and kind == "excess":
+        slack = 1e-12 * max(1.0, float(np.max(-np.diag(T))))
+        T[closed, np.flatnonzero(closed)[0]] += 0.2 * slack
+        np.fill_diagonal(T, np.minimum(np.diag(T), -1e-3))
+    return T
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(T=sub_intensities())
+def test_check_sub_intensity_agrees_with_the_eigenvalue_rule(T):
+    from iphfit.errors import SingularMatrixError
+
+    want = _eigvals_verdict(T)
+    try:
+        check_sub_intensity(T)
+        got = "transient"
+    except SingularMatrixError:
+        got = "singular"
+    except ValidationError as exc:
+        assert "eigenvalue" in str(exc)  # the entries are valid by construction
+        got = "recurrent"
+    assert got == want
 
 
 def test_dimension_cap():

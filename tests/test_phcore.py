@@ -167,7 +167,7 @@ def test_pdf_integrates_to_cdf():
 
 
 def test_large_qx_route():
-    # rate * x far past _UNIF_MAX_QX: those Poisson weights come from log space
+    # rate * x up to 5000: far anchor cells, reached by squarings of the step
     d = erlang_rep(2, 50.0)
     xs = np.array([0.5, 20.0, 100.0])
     got = ph_pdf(d, xs)
@@ -178,7 +178,8 @@ def test_large_qx_route():
 
 
 def test_unsorted_points_across_the_log_space_cutoff():
-    # q x spans both sides of _UNIF_MAX_QX = 600 in one unsorted array
+    # q x spans both sides of 600, where a log-space Poisson route used to
+    # take over, in one unsorted array
     rng = np.random.default_rng(12)
     d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
     q = float(np.max(-np.diag(d.T)))
@@ -209,8 +210,8 @@ def test_stiff_law_far_tail_matches_expm():
 
 
 def test_far_points_stop_where_the_law_has_decayed():
-    # q x > 1e9: a full Poisson row would take gigabytes; the series stops
-    # once pi P^k e falls below the smallest normal float
+    # q x > 1e9: a full Poisson row would take gigabytes; the anchor cell
+    # is reached by about 30 squarings of the step
     rng = np.random.default_rng(13)
     d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
     xs = np.array([1e9, 2.0])
@@ -223,6 +224,40 @@ def test_far_points_stop_where_the_law_has_decayed():
     assert peak < 2**20
     assert pdf[0] == 0.0 and sf[0] == 0.0 and cdf[0] == pytest.approx(1.0, abs=1e-14)
     assert cdf[1] + sf[1] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [50, 128])
+def test_long_erlang_matches_the_gamma_law_in_log_scale(n):
+    # Erlang(n, n): pi P^k t is nonzero only at k = n - 1, far past a fixed
+    # series depth, and at x = 0.02 the density is e^-142 (n = 50) and
+    # e^-369 (n = 128)
+    from scipy.stats import gamma
+
+    d = erlang_rep(n, float(n))
+    xs = np.array([0.02, 0.1, 0.3])
+    law = gamma(n, scale=1.0 / n)
+    np.testing.assert_allclose(np.log(ph_pdf(d, xs)), law.logpdf(xs), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.log(ph_cdf(d, xs)), law.logcdf(xs), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [5000.0, 50000.0])
+def test_stiff_law_far_tail_matches_mpmath(x):
+    # q = 100 against a slowest decay of 0.01: the anchor cell is 5e6 steps
+    # out at x = 50000, and the decay must survive two dozen squarings
+    import mpmath
+
+    from iphfit.emfit import ph_loglik
+
+    d = ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]])
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.matrix(d.T.tolist()) * x)
+        row = mpmath.matrix([[0.5, 0.5]]) * E
+        pdf = (row * mpmath.matrix(d.exit.tolist()))[0]
+        sf = (row * mpmath.matrix([1.0, 1.0]))[0]
+        log_pdf = float(mpmath.log(pdf))
+    assert float(ph_pdf(d, x)) == pytest.approx(float(pdf), rel=1e-12, abs=0.0)
+    assert float(ph_sf(d, x)) == pytest.approx(float(sf), rel=1e-12, abs=0.0)
+    assert ph_loglik(d, [x]) == pytest.approx(log_pdf, rel=1e-12, abs=0.0)
 
 
 def _mp_poisson_row(m, K):
@@ -238,28 +273,35 @@ def _mp_poisson_row(m, K):
 
 
 @pytest.mark.parametrize("qx", [0.0, 1e-3, 1.0, 37.5, 280.0, 599.0, 600.0, 601.0])
-def test_poisson_rows_match_mpmath_in_short_and_tall_blocks(qx, monkeypatch):
-    # alone, a point is a one-row block filled along k by one accumulate;
-    # K + 1 copies make a tall block, filled by the per-column loop (the
-    # budget is raised so that one fits at q x = 600, K = 924)
-    monkeypatch.setattr(phcore, "_BLOCK_ENTRIES", 1 << 21)
-    K = int(phcore._poisson_depth(np.array([qx]))[0])
-    want = _mp_poisson_row(qx, K)
-    # rows past _UNIF_MAX_QX come from log space, whose exponent cancels
-    # terms of size K log(q x): about 1e-12 relative (ROADMAP item 4)
-    rtol = 1e-13 if qx <= phcore._UNIF_MAX_QX else 1e-11
+def test_poisson_rows_match_mpmath_in_short_and_tall_blocks(qx):
+    # a point at q x takes its Poisson row at the offset delta = q x - b in
+    # its anchor cell b; alone it is a one-row block, K + 1 copies make a
+    # tall one, and both fill the same rows
+    K = phcore._WINDOW_DEPTH
+    cells, cell, delta = phcore._cells(np.array([qx]))
+    assert cells.tolist() == [math.floor(qx)] and cell.tolist() == [0]
+    want = _mp_poisson_row(float(delta[0]), K)
     shapes = []
     for n in (1, K + 1):
-        [(lo, hi, W)] = list(phcore._poisson_blocks(np.full(n, qx))[1])
+        W = phcore._window_rows(np.full(n, delta[0]), K)
         shapes.append(W.shape)
-        np.testing.assert_allclose(W[0], want, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(W[0], want, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(W[-1], W[0])
     assert shapes == [(1, K + 1), (K + 1, K + 1)]
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 0.37, 0.999999])
+def test_deep_window_rows_match_mpmath(delta):
+    # a window that needs a deeper series goes on to k = 320, where
+    # delta^k / k! leaves the float range without a term cancelling
+    K = 320
+    W = phcore._window_rows(np.array([delta]), K)
+    np.testing.assert_allclose(W[0], _mp_poisson_row(delta, K), rtol=1e-13, atol=0.0)
+
+
 def test_one_point_matches_its_entry_in_a_batch():
-    # alone a point takes the short-block fill; among 2000 it sits in tall
-    # blocks filled column by column
+    # alone a point is the only row of its window table and walks to its
+    # cell alone; among 2000 it shares both with its neighbours
     rng = np.random.default_rng(14)
     d = ph_new(random_probability(rng, 4), random_sub_intensity(rng, 4))
     q = phcore._unif_rate(d.T)
@@ -268,6 +310,19 @@ def test_one_point_matches_its_entry_in_a_batch():
     for i in range(0, xs.size, 111):
         assert float(ph_pdf(d, xs[i])) == pytest.approx(pdf[i], rel=1e-13, abs=0.0)
         assert float(ph_sf(d, xs[i])) == pytest.approx(sf[i], rel=1e-13, abs=0.0)
+
+
+def test_evaluation_does_not_depend_on_earlier_calls(monkeypatch):
+    # the kept setup of the last law holds squarings for its farthest cell;
+    # a later call with nearer cells uses a prefix of them, which must be
+    # exactly what a fresh setup computes
+    d = ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]])
+    xs = np.array([0.01, 1.0, 3.0, 10.0])
+    monkeypatch.setattr(phcore, "_last_setup", [None])
+    fresh = ph_sf(d, xs), ph_pdf(d, xs)
+    ph_sf(d, np.array([50000.0]))
+    assert np.array_equal(ph_sf(d, xs), fresh[0])
+    assert np.array_equal(ph_pdf(d, xs), fresh[1])
 
 
 def test_eval_rejects_bad_arguments():
