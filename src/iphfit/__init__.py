@@ -58,6 +58,7 @@ from .iph import (
     constant_rate,
     inverse_linear_rate,
     iph_alpha_moment,
+    iph_cdf,
     iph_new,
     iph_overshoot,
     iph_pdf,

@@ -7,17 +7,18 @@ times, jump counts and exits per state.  All of them reduce to entries of
     e^{Ty},   and   U(y) = int_0^y e^{Tu} t pi e^{T(y-u)} du,
 
 where U(y) is the top-right block of the exponential of the 2p x 2p
-matrix C = [[T, t pi], [0, T]].  That block exponential is evaluated for
-the whole sample at once by the anchored uniformization of ``phcore``:
-with q at or above the largest exit rate, M = I + C / q = [[P, t pi / q],
-[0, P]] (P = I + T/q) is elementwise nonnegative, and a datum at
-q y = b + delta (b its anchor cell, delta < 1) has e^{Cy} = e^{C x_b}
-e^{C delta / q}.  The anchors e^{C x_b} / s_b of the occupied cells come
-from one walk over the squarings of the step e^{C/q} (``phcore._walk``),
-with log s_b carried beside them, s_b = pi e^{T x_b} e; each datum's
-window is a Poisson(delta) mixture of M^k over k <= 20, deeper only
-where ``phcore._window_groups`` finds that the stated bound on the dropped
-terms asks for it.  So
+matrix C = [[T, t pi], [0, T]], cut to the states pi reaches.  The
+anchored uniformization kernel of ``phcore`` evaluates it for the whole
+sample at once, with C as its generator: for q at or above the largest
+exit rate, M = I + C / q = [[P, t pi / q], [0, P]] (P = I + T/q) is
+elementwise nonnegative, and a datum at q y = b + delta (b its anchor
+cell, delta < 1) has e^{Cy} = e^{C x_b} e^{C delta / q}.  The anchors
+e^{C x_b} / s_b of the occupied cells come from one walk (``_walk``)
+over the squarings of the step e^{C/q} (``_unif_setup``), with log s_b
+carried beside them, s_b = pi e^{T x_b} e; each datum's window is a
+Poisson(delta) mixture of M^k over k <= 20, deeper only where
+``_window_groups`` finds that the stated bound on the dropped terms asks
+for it.  So
 
     sum_i wt_i e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) sum_k g_bk M^k,
 
@@ -29,10 +30,11 @@ products of 2p x 2p matrices plus two passes over the N x 21 table of
 window rows.  The rows depend only on q y and any q at or above the
 largest exit rate is exact, so a fit builds its table once, at 1.1 times
 the rate that asks for it, and reuses it while later rates stay in
-[q/2, q]; a table over the one-buffer budget ``phcore._BLOCK_ENTRIES`` is
-streamed afresh each iteration in row chunks instead.  The sums run in a
-fixed order with fixed BLAS and sparse products, so a fit is bitwise
-reproducible for a given input and BLAS thread count.
+[q/2, q]; past the one-buffer budget ``phcore._BLOCK_ENTRIES`` it keeps
+its cells, and only the window rows are refilled, block by block, each
+iteration.  The sums run in a fixed order with fixed BLAS and sparse
+products, so a fit is bitwise reproducible for a given input and BLAS
+thread count.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
 renormalizes the starts; it never decreases the log-likelihood.
@@ -40,11 +42,12 @@ renormalizes the starts; it never decreases the log-likelihood.
 ``fit_transformed`` runs the same machinery on u_i = g^{-1}(x_i) - shift
 and reports the log-likelihood on both scales (they differ by the sum of
 log-Jacobians).  ``fit_erlang_rate`` is the closed-form one-parameter
-baseline.
+baseline, its log-likelihood a closed form too.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,14 +69,13 @@ from .families import (
 )
 from .phcore import (
     _BLOCK_ENTRIES,
-    _STEP_DEPTH,
     _WINDOW_DEPTH,
     PHDist,
     _cells,
     _exp_action,
-    _nonneg_powers,
+    _reached,
     _unif_rate,
-    _unif_squarings,
+    _unif_setup,
     _walk,
     _window_groups,
     _window_rows,
@@ -183,58 +185,43 @@ def _per_cell(cell: np.ndarray, m: int):
                       shape=(m, cell.size))
 
 
-def _windows(ys: np.ndarray, q: float):
-    """Chunks (lo, cells, cell, delta, W, per_cell) of the windows of q * ys.
-
-    ``ys`` ascending; each chunk covers ys[lo:lo + n] with at most
-    _BLOCK_ENTRIES Poisson entries: the anchor cells of those points as
-    from ``phcore._cells``, their Poisson rows W at depth _WINDOW_DEPTH,
-    and the ``_per_cell`` sum over their cells.
-    """
-    rows = _BLOCK_ENTRIES // (_WINDOW_DEPTH + 1)
-    for lo in range(0, ys.size, rows):
-        cells, cell, delta = _cells(q * ys[lo : lo + rows])
-        yield (lo, cells, cell, delta, _window_rows(delta, _WINDOW_DEPTH),
-               _per_cell(cell, cells.size))
-
-
 def _poisson_table(ys: np.ndarray, q: float):
-    """(q, chunks): every window of q * ys held at once, or None when their
-    Poisson rows pass the one-buffer budget _BLOCK_ENTRIES."""
+    """(q, cells, cell, delta, W, per_cell) for ascending ys: the anchor
+    cells of q * ys as from ``_cells``, their Poisson rows W at depth
+    _WINDOW_DEPTH and the ``_per_cell`` sum.  Past the one-buffer budget
+    _BLOCK_ENTRIES, W and per_cell are None: ``_window_groups`` fills the
+    rows block by block, and each block sums its own cells."""
+    cells, cell, delta = _cells(ys, q)
     if ys.size * (_WINDOW_DEPTH + 1) > _BLOCK_ENTRIES:
-        return None
+        return q, cells, cell, delta, None, None
     # rows laid out C-ordered, copied once: each E-step then reads them
     # twice, about twice as fast as column by column
-    return q, [(lo, cells, cell, delta, np.ascontiguousarray(W), per_cell)
-               for lo, cells, cell, delta, W, per_cell in _windows(ys, q)]
+    W = np.ascontiguousarray(_window_rows(delta, _WINDOW_DEPTH))
+    return q, cells, cell, delta, W, _per_cell(cell, cells.size)
 
 
 def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     """Aggregated E-step statistics and the current log-likelihood.
 
     ``ys`` must be ascending (np.unique output).  ``table`` is a
-    ``_poisson_table`` of ``ys`` built at any rate q >= _unif_rate(T); the
-    cells, M and its powers all use that q.  Without one, the windows are
-    streamed at _unif_rate(T).  Returns (starts, sojourn, jumps, exits,
-    loglik); starts/sojourn/exits are per-state sums over the weighted
-    sample, jumps is the p x p matrix of expected transition counts.
+    ``_poisson_table`` of ``ys`` at any rate q >= _unif_rate(T), by default
+    that rate; the kernel's setup uses the same q.  States pi never reaches
+    get zero statistics.  Returns (starts, sojourn, jumps, exits, loglik);
+    starts/sojourn/exits are per-state sums over the weighted sample, jumps
+    is the p x p matrix of expected transition counts.
     """
     pi, T, t = d.pi, d.T, d.exit
-    p = d.dim
     if table is None:
-        q = _unif_rate(T)
-        chunks = _windows(ys, q)
-    else:
-        q, chunks = table
-    # M = I + C / q = [[P, t pi / q], [0, P]], P = I + T / q
-    M = np.eye(2 * p)
-    M[:p, :p] += T / q
-    M[p:, p:] = M[:p, :p]
-    M[:p, p:] = np.outer(t, pi) / q
-    powers = _nonneg_powers(M, _STEP_DEPTH)
-    # M's top rows sum to one, its bottom rows fall short by t / q
-    deficit = np.append(np.zeros(p), t / q)
-    squarings = _unif_squarings(powers, deficit, int(q * ys[-1]).bit_length())
+        table = _poisson_table(ys, _unif_rate(T))
+    q, cells, cell, delta, W, per_cell = table
+    r = _reached(pi, T)
+    if r is not None:
+        pi, T, t = pi[r], T[np.ix_(r, r)], t[r]
+    p = pi.size
+    C = np.zeros((2 * p, 2 * p))
+    C[:p, :p] = C[p:, p:] = T
+    C[:p, p:] = np.outer(t, pi)
+    powers, squarings = _unif_setup(C, q, int(cells[-1]).bit_length())
     span = max(1, _BLOCK_ENTRIES // (4 * p * p))  # anchors held at once
 
     # G = sum_i wt_i e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) G_b, G_b the
@@ -242,38 +229,38 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     # they are bitwise repeatable
     G = np.zeros((2 * p, 2 * p))
     loglik = 0.0
-    for lo, cells, cell, delta, W, per_cell in chunks:
-        for c0 in range(0, cells.size, span):
-            m = min(span, cells.size - c0)
-            a, z = np.searchsorted(cell, [c0, c0 + m])
-            E, logs = _walk(np.eye(2 * p), cells[c0 : c0 + m], squarings)
-            # s_b = pi e^{T x_b} e, from the top-left blocks
-            alpha = pi @ E[:, :p, :p]
-            s = alpha.sum(axis=1)
-            alpha /= s[:, None]
-            logs += np.log(s)
-            E = E.reshape(m, -1) / s[:, None]
-            at_cell, w = cell[a:z] - c0, wt[lo + a : lo + z]
-            for sub, Wg, f, done, pw in _window_groups(
-                    alpha, powers[: _WINDOW_DEPTH + 1], t, delta[a:z], at_cell, W[a:z]):
-                at, wd = at_cell[sub], w[sub] * done
-                c = np.divide(wd, f, out=np.zeros(f.size), where=done)
-                with np.errstate(divide="ignore"):
-                    logf = np.log(f, out=np.zeros(f.size), where=done)
-                loglik += float(logf @ wd) + float(logs @ np.bincount(at, wd, m))
-                # per cell: g_bk = sum of c_i W_ik over the cell's points;
-                # a group of all the chunk's points has the chunk's cells
-                S = per_cell if f.size == cell.size else _per_cell(at, m)
-                S.data = c
-                g = S @ Wg
-                H = (g.T @ E).reshape(-1, 2 * p, 2 * p)
-                G += np.matmul(H, pw).sum(axis=0)
+    for c0 in range(0, cells.size, span):
+        m = min(span, cells.size - c0)
+        a, z = np.searchsorted(cell, [c0, c0 + m])
+        E, logs = _walk(np.eye(2 * p), cells[c0 : c0 + m], squarings)
+        # s_b = pi e^{T x_b} e, from the top-left blocks
+        alpha = pi @ E[:, :p, :p]
+        s = alpha.sum(axis=1)
+        alpha /= s[:, None]
+        logs += np.log(s)
+        E = E.reshape(m, -1) / s[:, None]
+        at_cell, w = cell[a:z] - c0, wt[a:z]
+        for sub, Wg, f, done, pw in _window_groups(
+                alpha, powers[: _WINDOW_DEPTH + 1], t, delta[a:z], at_cell,
+                None if W is None else W[a:z]):
+            at, wd = at_cell[sub], w[sub] * done
+            c = np.divide(wd, f, out=np.zeros(f.size), where=done)
+            with np.errstate(divide="ignore"):
+                logf = np.log(f, out=np.zeros(f.size), where=done)
+            loglik += float(logf @ wd) + float(logs @ np.bincount(at, wd, m))
+            # per cell: g_bk = sum of c_i W_ik over the cell's points; a group
+            # of all the table's points has the table's sum
+            S = per_cell if f.size == cell.size else _per_cell(at, m)
+            S.data = c
+            H = ((S @ Wg).T @ E).reshape(-1, 2 * p, 2 * p)
+            G += np.matmul(H, pw).sum(axis=0)
     G11, U = G[:p, :p], G[:p, p:]
-    starts = pi * (G11 @ t)
-    exits = t * (pi @ G11)
-    sojourn = np.diag(U).copy()
-    jumps = T * U.T
-    return starts, sojourn, jumps, exits, loglik
+    stats = [pi * (G11 @ t), np.diag(U).copy(), T * U.T, t * (pi @ G11)]
+    if r is not None:
+        for i, x in enumerate(stats):
+            stats[i] = np.zeros((d.dim,) * x.ndim)
+            stats[i][np.ix_(*(r,) * x.ndim)] = x
+    return (*stats, loglik)
 
 
 def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):
@@ -450,9 +437,12 @@ def fit_transformed(data, transform, shift: float, config: FitConfig):
 
 
 def fit_erlang_rate(data, n: int):
-    """Closed-form Erlang(n) rate MLE and its log-likelihood."""
+    """Closed-form Erlang(n) rate MLE and its log-likelihood,
+    n N log lam + (n - 1) sum log u - lam sum u - N log (n - 1)!."""
     if n < 1 or n != int(n):
         raise ValidationError(f"n must be a positive integer, got {n}")
     ys = _check_data(data)
-    lam = float(n * ys.size / ys.sum())
-    return lam, ph_loglik(erlang_rep(int(n), lam), ys)
+    n, N, total = int(n), ys.size, float(ys.sum())
+    lam = float(n * N / total)
+    ll = n * N * math.log(lam) + (n - 1) * float(np.sum(np.log(ys)))
+    return lam, ll - lam * total - N * math.lgamma(n)

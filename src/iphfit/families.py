@@ -13,7 +13,7 @@ distribution functions swap roles there; every evaluator here returns
 P(Y > y) regardless.  Survival and density reduce to the base PH law at
 u = g^{-1}(y):
 
-    P(Y > y) = pi e^{Tu} e  (increasing),  1 - pi e^{Tu} e  (decreasing)
+    P(Y > y) = pi e^{Tu} e  (increasing),  P(X <= u)  (decreasing)
     f_Y(y)   = pi e^{Tu} t |du/dy|
 
 With a one-phase base these are exactly the classical Pareto, Weibull,
@@ -44,6 +44,7 @@ from .phcore import (
     PHDist,
     _condition,
     mixture_rep,
+    ph_cdf,
     ph_log_moment,
     ph_mean,
     ph_pdf,
@@ -298,27 +299,37 @@ def _as_points(y):
     return y_arr.ndim == 0, np.atleast_1d(y_arr).astype(float)
 
 
-def tph_sf(d: TransformedPH, y):
-    """P(Y > y); 1 left of the support, 0 right of it."""
+def _tail(d: TransformedPH, y, upper: bool):
+    """P(Y > y) if ``upper``, else P(Y <= y).
+
+    Inside the support it is the base's ph_sf or ph_cdf at u = g^{-1}(y),
+    whichever the map's direction makes it, so a small value keeps its
+    digits; a u at or past ``x_cap`` counts as the base's far end.
+    """
     scalar, ys = _as_points(y)
     g = d.transform
     lo, hi = g.support(d.mu)
     out = np.empty(ys.shape)
-    out[ys <= lo] = 1.0
-    out[ys >= hi] = 0.0
+    out[ys <= lo] = float(upper)
+    out[ys >= hi] = float(not upper)
     inside = (ys > lo) & (ys < hi)
     if np.any(inside):
         u = np.asarray(g.to_x(ys[inside], d.mu), dtype=float)
         capped = ~(u < d.x_cap)
-        u = np.where(capped, d.x_cap, u)
-        s = ph_sf(d.base, u)
-        s = np.where(capped, 0.0, s)
-        out[inside] = s if g.increasing else 1.0 - s
+        base_sf = upper == g.increasing
+        vals = (ph_sf if base_sf else ph_cdf)(d.base, np.where(capped, d.x_cap, u))
+        out[inside] = np.where(capped, float(not base_sf), vals)
     return float(out[0]) if scalar else out
 
 
+def tph_sf(d: TransformedPH, y):
+    """P(Y > y); 1 left of the support, 0 right of it."""
+    return _tail(d, y, upper=True)
+
+
 def tph_cdf(d: TransformedPH, y):
-    return 1.0 - tph_sf(d, y)
+    """P(Y <= y); 0 left of the support, 1 right of it."""
+    return _tail(d, y, upper=False)
 
 
 def tph_pdf(d: TransformedPH, y):

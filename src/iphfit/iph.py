@@ -42,6 +42,7 @@ from .phcore import (
     _check_start,
     _condition,
     _solve_increasing,
+    ph_cdf,
     ph_pdf,
     ph_sample,
     ph_sf,
@@ -164,14 +165,6 @@ def rate_function(rate, primitive=None, inverse_primitive=None, name="rate") -> 
 def constant_rate(c: float = 1.0) -> RateFunction:
     if not (c > 0):
         raise ValidationError(f"constant rate must be positive, got {c}")
-    if c == 1.0:
-        # identity transform; kept exact so homogeneous reductions are bitwise
-        return rate_function(
-            lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            primitive=lambda x: np.asarray(x, dtype=float),
-            inverse_primitive=lambda y: np.asarray(y, dtype=float),
-            name="constant(1)",
-        )
     return rate_function(
         lambda t: np.full_like(np.asarray(t, dtype=float), c),
         primitive=lambda x: c * np.asarray(x, dtype=float),
@@ -237,7 +230,9 @@ def iph_sf(d: IPHDist, x):
 
 
 def iph_cdf(d: IPHDist, x):
-    return 1.0 - iph_sf(d, x)
+    """P(tau <= x): the base's ph_cdf at R(x), so a small value keeps its digits."""
+    x = _check_points(x)
+    return ph_cdf(d.base, d.rate.primitive_at(x))
 
 
 def iph_overshoot(d: IPHDist, s: float) -> IPHDist:

@@ -17,17 +17,19 @@ not phase-type are admitted under ``markov=False`` with weak, grid-based
 validation; for those the exit vector may be supplied explicitly (the
 textbook oscillating-density example needs this).
 
-Evaluation over arrays is routed through one of three backends: a closed
-form for one phase, positive-series uniformization for Markov generators
-(no cancellation, preserves relative accuracy; the distribution function
-is a positive series of its own), and for non-Markov representations an
+Evaluation over arrays is routed through one of three backends:
+positive-series uniformization for Markov generators of any order (no
+cancellation, preserves relative accuracy; the distribution function is a
+positive series of its own), and for non-Markov representations an
 eigen-decomposition, with per-point matrix exponentials when the
 eigenvectors are ill-conditioned.
 
-Uniformization is anchored, one kernel shared with the EM E-step.  With q
-just above the largest exit rate (``_unif_rate``) and P = I + T/q, a point
-at q x = b + delta lies in the anchor cell b = floor(q x), at an offset
-delta < 1, and
+Uniformization is anchored, one kernel shared with the EM E-step.  It runs
+on the states pi reaches (``_reached``): a state it never reaches adds
+nothing, and left in, a slow one would set the scale of every squaring.
+With q just above the largest exit rate (``_unif_rate``) and P = I + T/q,
+a point at q x = b + delta lies in the anchor cell b = floor(q x), at an
+offset delta < 1, and
 
     pi e^{Tx} v = s_b sum_k Pois(k; delta) alpha_b P^k v,
 
@@ -301,14 +303,9 @@ def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray, log: bool = False) -> 
     the value is not positive)."""
     xs = np.asarray(xs, dtype=float)
     pi, T = d.pi, d.T
-    p = d.dim
-    if d.markov and p > 1:
+    if d.markov:
         return _unif_action(pi, T, v, xs, log)
     with np.errstate(divide="ignore"):
-        if p == 1:
-            if log:
-                return np.log(pi[0] * v[0]) + T[0, 0] * xs
-            return pi[0] * v[0] * np.exp(T[0, 0] * xs)
         vals, V = np.linalg.eig(T)
         if np.linalg.cond(V) < 1e7:
             w = (pi @ V) * np.linalg.solve(V, v.astype(complex))
@@ -350,13 +347,33 @@ def _nonneg_powers(X: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _cells(qx: np.ndarray):
-    """Anchor cells of ascending points qx: (cells, cell, delta).
+def _reached(pi: np.ndarray, T: np.ndarray):
+    """The states pi reaches through T's off-diagonal entries, ascending,
+    or None when it reaches every state (one check when pi has no zero)."""
+    if pi.all():
+        return None
+    seen, links = pi != 0.0, T != 0.0
+    while True:
+        grown = seen | links[seen].any(axis=0)
+        if np.array_equal(grown, seen):
+            return None if seen.all() else np.flatnonzero(seen)
+        seen = grown
 
-    Point i lies in cell b = floor(qx_i) at offset delta_i = qx_i - b in
-    [0, 1); ``cells`` lists the occupied cells in order, and point i lies
-    in cells[cell[i]] (``cell`` is int32, as sparse indices are).
+
+def _cells(xs: np.ndarray, q: float = 1.0):
+    """Anchor cells of ascending points xs at rate q: (cells, cell, delta).
+
+    Point i lies in cell b = floor(q xs_i) at offset delta_i = q xs_i - b
+    in [0, 1); ``cells`` lists the occupied cells in order, and point i
+    lies in cells[cell[i]] (``cell`` is int32, as sparse indices are).  A
+    point at q x >= 2^62, whose cell an int64 does not hold, is a
+    DomainError.
     """
+    qx = q * xs
+    if qx.size and not qx[-1] < 2.0 ** 62:
+        raise DomainError(
+            f"point {xs[-1]} is too far out to uniformize at rate {q:.6g} "
+            f"(q x = {qx[-1]:.3e} >= 2^62)")
     b = np.floor(qx)
     delta = qx - b
     b = b.astype(np.int64)
@@ -524,7 +541,8 @@ _last_setup = [None]
 
 
 def _unif_setup(T: np.ndarray, q: float, J: int):
-    """(P^0..P^K, the anchor squarings j < J) for P = I + T / q."""
+    """(P^0..P^K, the anchor squarings j < J) for P = I + T / q; T may be
+    any generator with row sums <= 0, the E-step's chain C among them."""
     key = (T.tobytes(), q)
     last = _last_setup[0]
     if last is None or last[0] != key or len(last[2]) < J:
@@ -543,11 +561,14 @@ def _unif_action(pi, T, v, xs, log=False):
     series sum_k Pois(k; delta) alpha_b P^k v from ``_window_groups``.  No
     row or sum under- or overflows, so the log is finite wherever the
     value is positive.  The terms are nonnegative for Markov generators.
+    States pi never reaches are cut first.
     """
+    r = _reached(pi, T)
+    if r is not None:
+        pi, T, v = pi[r], T[np.ix_(r, r)], v[r]
     q = _unif_rate(T)
-    qx = q * xs
-    order = np.argsort(qx)
-    cells, cell, delta = _cells(qx[order])
+    order = np.argsort(xs)
+    cells, cell, delta = _cells(xs[order], q)
     powers, squarings = _unif_setup(T, q, int(cells[-1]).bit_length() if cells.size else 0)
     R, logs = _walk(pi[None, :], cells, squarings)
     out = np.empty(xs.size)

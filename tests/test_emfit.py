@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.stats import gamma
 
 import iphfit.emfit as emfit
 from iphfit.emfit import (
@@ -28,7 +29,15 @@ from iphfit.errors import (
     ValidationError,
 )
 from iphfit.families import ParetoExp, Power, ShiftedTransform, tph_pdf
-from iphfit.phcore import _unif_rate, erlang_rep, ph_new, ph_pdf, ph_sample
+from iphfit.phcore import (
+    _unif_rate,
+    _window_rows,
+    erlang_rep,
+    mixture_rep,
+    ph_new,
+    ph_pdf,
+    ph_sample,
+)
 
 from oracles import random_probability, random_sub_intensity, recurrence_estep
 
@@ -254,6 +263,60 @@ def test_estep_heap_peak_is_bounded(u):
     assert peak < 16 * 2**20
 
 
+def test_streamed_estep_matches_a_kept_table():
+    # 30000 distinct points: their window rows pass the one-buffer budget,
+    # so the table keeps none and the E-step fills them block by block
+    d = ph_new(BASE_PI, 0.25 * BASE_T)
+    ys = np.unique(np.random.default_rng(83).gamma(2.0, 4.0, 30000))
+    assert ys.size == 30000
+    wt = np.random.default_rng(84).integers(1, 4, ys.size).astype(float)
+    table = _poisson_table(ys, _unif_rate(d.T))
+    q, cells, cell, delta, W, per_cell = table
+    assert W is None and per_cell is None
+    kept = (q, cells, cell, delta, np.ascontiguousarray(_window_rows(delta, 20)),
+            emfit._per_cell(cell, cells.size))
+    got, want = _estep(d, ys, wt, table), _estep(d, ys, wt, kept)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
+    tracemalloc.start()
+    try:
+        _estep(d, ys, wt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_a_state_pi_never_reaches_gets_zero_statistics():
+    # the slow third state is never entered; left in the chain, it set the
+    # scale of every squaring, and the reached states' anchors went to 0/0
+    mix = mixture_rep([1.0, 0.0], [erlang_rep(2, 5.0), erlang_rep(1, 0.01)])
+    alone = erlang_rep(2, 5.0)
+    ys = [1.0, 100.0, 300.0, 600.0]
+    assert ph_loglik(mix, ys) == pytest.approx(ph_loglik(alone, ys), rel=1e-14, abs=0.0)
+    for y in ys:
+        got = _estep(mix, np.array([y]), np.ones(1))
+        want = _estep(alone, np.array([y]), np.ones(1))
+        for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+            wide = np.zeros(a.shape)
+            wide[(slice(0, 2),) * a.ndim] = b
+            np.testing.assert_allclose(a, wide, rtol=1e-14, atol=0.0, err_msg=name)
+        assert got[4] == pytest.approx(want[4], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("y", [150.0, 300.0, 600.0])
+def test_estep_of_an_unreached_slow_state_is_the_exponential_one(y):
+    # pi = (1, 0): the law is Exp(5), whatever the second state's rate
+    d = ph_new([1.0, 0.0], np.diag([-5.0, -0.01]))
+    starts, sojourn, jumps, exits, ll = _estep(d, np.array([y]), np.ones(1))
+    assert ll == pytest.approx(math.log(5.0) - 5.0 * y, rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(starts, [1.0, 0.0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(sojourn, [y, 0.0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(exits, [1.0, 0.0], rtol=1e-13, atol=0.0)
+    assert jumps[0, 1] == jumps[1, 0] == jumps[1, 1] == 0.0
+
+
 @pytest.mark.parametrize("n", [20000, 3000])
 def test_fit_heap_peak_is_bounded(n):
     # the fit loop holds its Poisson table across iterations; that must not
@@ -457,6 +520,16 @@ def test_erlang_rate_scalar_case():
     lam_hat, ll = fit_erlang_rate(ys, 1)
     assert lam_hat == pytest.approx(1.0 / ys.mean(), rel=1e-14)
     assert ll == pytest.approx(ph_loglik(erlang_rep(1, lam_hat), ys), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_erlang_rate_log_likelihood_is_the_closed_form(n):
+    # n = 200 phases is past the order a representation may have; the
+    # closed form does not build one
+    ys = np.random.default_rng(87).gamma(n, 0.5, 400)
+    lam, ll = fit_erlang_rate(ys, n)
+    want = float(np.sum(gamma.logpdf(ys, n, scale=1.0 / lam)))
+    assert ll == pytest.approx(want, rel=1e-12)
 
 
 def test_erlang_rate_rejects_bad_input():

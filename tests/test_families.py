@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -221,6 +222,22 @@ def test_scalar_reductions_all_families():
         yv = np.linspace(start, stop, 100)
         assert np.max(np.abs(tph_pdf(dv, yv) - gev_pdf(lam, 0.0, 1.0, xi, yv))) < 1e-12
         assert np.max(np.abs(tph_cdf(dv, yv) - gev_cdf(lam, 0.0, 1.0, xi, yv))) < 1e-12
+
+
+def test_small_tails_keep_their_digits():
+    # P(Y > y) of a decreasing map and P(Y <= y) of an increasing one are
+    # small where the base's cdf is; a complement 1 - (...) cancels there
+    base = erlang_rep(2, 1.0)
+    gev = tph_new(base, ShiftedPower(0.0, 1.0, 0.5))
+    pareto = tph_new(base, ParetoExp())
+    with mpmath.workdps(40):
+        for y in (1e3, 1e5):
+            u = (1 + mpmath.mpf(y) / 2) ** -2
+            want = float(mpmath.gammainc(2, 0, u, regularized=True))
+            assert tph_sf(gev, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+        for y in (1e-6, 1e-9):
+            want = float(mpmath.gammainc(2, 0, mpmath.log1p(y), regularized=True))
+            assert tph_cdf(pareto, y) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -110,6 +111,15 @@ def test_builtin_rates_round_trip():
 # ---------------------------------------------------------------------------
 # scaled IPH evaluators
 # ---------------------------------------------------------------------------
+
+def test_iph_cdf_keeps_its_digits_near_zero():
+    from iphfit import iph_cdf
+
+    d = iph_new(erlang_rep(2, 1.0), power_rate(2.0))
+    with mpmath.workdps(40):
+        want = float(mpmath.gammainc(2, 0, mpmath.mpf(1e-5) ** 2, regularized=True))
+    assert iph_cdf(d, 1e-5) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 def test_identity_rate_reduces_to_base():
     rng = np.random.default_rng(11)

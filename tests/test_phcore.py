@@ -17,6 +17,7 @@ from iphfit.errors import (
     ValidationError,
 )
 import iphfit.phcore as phcore
+from iphfit.emfit import ph_loglik
 from iphfit.phcore import (
     erlang_rep,
     gen_erlang_rep,
@@ -623,3 +624,37 @@ def test_sample_properties(d, count, seed):
     assert np.all(np.isfinite(draws) & (draws > 0))
     assert np.array_equal(draws, ph_sample(d, np.random.default_rng(seed), count))
     assert ph_sample(d, np.random.default_rng(seed), 0).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the anchored kernel's domain
+# ---------------------------------------------------------------------------
+
+def test_a_state_pi_never_reaches_changes_nothing():
+    # the slow third state is never entered; left in the chain, it set the
+    # scale of every squaring, and the values went to 0/0 from x = 300
+    mix = mixture_rep([1.0, 0.0], [erlang_rep(2, 5.0), erlang_rep(1, 0.01)])
+    alone = erlang_rep(2, 5.0)
+    xs = np.array([1.0, 100.0, 300.0, 600.0])
+    for f in (ph_pdf, ph_sf, ph_cdf):
+        np.testing.assert_allclose(f(mix, xs), f(alone, xs), rtol=1e-14, atol=0.0,
+                                   err_msg=f.__name__)
+
+
+@pytest.mark.parametrize("x", [1e19, 1e300])
+def test_a_point_past_the_cell_range_is_a_domain_error(x):
+    # q x >= 2^62: its anchor cell would not fit the int64 it is kept in
+    d = ph_new([0.5, 0.5], [[-2.0, 1.0], [0.5, -1.0]])
+    for f in (ph_pdf, ph_sf, ph_cdf, ph_loglik):
+        with pytest.raises(DomainError, match="too far out"):
+            f(d, [x])
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.37, 1.0, 5.0, 1e3])
+def test_one_phase_law_through_the_kernel_is_the_exponential(lam):
+    # wherever lam e^{-lam x} is above 1e-300
+    xs = np.linspace(0.0, 690.0 / lam, 2001)
+    d = erlang_rep(1, lam)
+    sf = np.exp(-lam * xs)
+    np.testing.assert_allclose(ph_sf(d, xs), sf, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ph_pdf(d, xs), lam * sf, rtol=1e-12, atol=0.0)
