@@ -25,19 +25,31 @@ for it.  So
 g_bk = sum over the cell's data of wt_i Pois(k; delta_i) / (f_i / s_b), a
 sum in which nothing under- or overflows, and the log-likelihood is
 sum_i wt_i (log(f_i / s_b) + log s_b): finite for a datum whose density
-is far below the float range.  One EM iteration costs a few dozen
-products of 2p x 2p matrices plus two passes over the N x 21 table of
-window rows.  The rows depend only on q y and any q at or above the
-largest exit rate is exact, so a fit builds its table once, at 1.1 times
-the rate that asks for it, and reuses it while later rates stay in
-[q/2, q]; past the one-buffer budget ``phcore._BLOCK_ENTRIES`` it keeps
-its cells, and only the window rows are refilled, block by block, each
-iteration.  The sums run in a fixed order with fixed BLAS and sparse
-products, so a fit is bitwise reproducible for a given input and BLAS
-thread count.
+is far below the float range.
+
+Cost.  The rows depend only on q y and any q at or above the largest
+exit rate is exact, so a fit builds its N x 21 table of window rows once,
+at 1.1 times the rate that asks for it, and reuses it while later rates
+stay in [q/2, q]; past the one-buffer budget ``phcore._BLOCK_ENTRIES`` it
+keeps its cells, and only the window rows are refilled, block by block,
+each iteration.  A kept table also keeps what the iteration would
+otherwise recompute from it (``phcore._kept_rows``): the rows' factors in
+the depth bound, their largest value per cell, and a block-sparse view
+of the rows with the cells as block columns, which shares the rows'
+memory.  One iteration is then two passes over the table, one product
+with that view for the window sums f and one sparse per-cell sum for the
+g_bk, plus a fixed cost of a few dozen products of 2p x 2p matrices: the
+powers of M and the squarings of the step, a walk that carries only the
+top p rows of each anchor (only those rows of the sum are read), and one
+(p x 21 2p) @ (21 2p x 2p) product that folds the windows into it.  Where
+one test per cell shows every window done at depth 20, the divisions and
+logs run unmasked.  The sums run in a fixed order with fixed BLAS and
+sparse products, so a fit is bitwise reproducible for a given input and
+BLAS thread count.
 
 The M-step divides aggregated jumps and exits by aggregated sojourn and
-renormalizes the starts; it never decreases the log-likelihood.
+renormalizes the starts, all states at once; it never decreases the
+log-likelihood.
 
 ``fit_transformed`` runs the same machinery on u_i = g^{-1}(x_i) - shift
 and reports the log-likelihood on both scales (they differ by the sum of
@@ -73,6 +85,7 @@ from .phcore import (
     PHDist,
     _cells,
     _exp_action,
+    _kept_rows,
     _reached,
     _unif_rate,
     _unif_setup,
@@ -186,18 +199,20 @@ def _per_cell(cell: np.ndarray, m: int):
 
 
 def _poisson_table(ys: np.ndarray, q: float):
-    """(q, cells, cell, delta, W, per_cell) for ascending ys: the anchor
-    cells of q * ys as from ``_cells``, their Poisson rows W at depth
-    _WINDOW_DEPTH and the ``_per_cell`` sum.  Past the one-buffer budget
-    _BLOCK_ENTRIES, W and per_cell are None: ``_window_groups`` fills the
-    rows block by block, and each block sums its own cells."""
+    """(q, cells, cell, delta, kept, per_cell) for ascending ys: the anchor
+    cells of q * ys as from ``_cells``, their Poisson rows at depth
+    _WINDOW_DEPTH with the constants ``_kept_rows`` derives from them, and
+    the ``_per_cell`` sum.  Past the one-buffer budget _BLOCK_ENTRIES,
+    kept and per_cell are None: ``_window_groups`` fills the rows block by
+    block, and each block sums its own cells."""
     cells, cell, delta = _cells(ys, q)
     if ys.size * (_WINDOW_DEPTH + 1) > _BLOCK_ENTRIES:
         return q, cells, cell, delta, None, None
-    # rows laid out C-ordered, copied once: each E-step then reads them
-    # twice, about twice as fast as column by column
+    # rows laid out C-ordered, copied once: each E-step reads them twice,
+    # through the block-sparse view and the per-cell sum
     W = np.ascontiguousarray(_window_rows(delta, _WINDOW_DEPTH))
-    return q, cells, cell, delta, W, _per_cell(cell, cells.size)
+    return (q, cells, cell, delta, _kept_rows(W, delta, cell, cells.size),
+            _per_cell(cell, cells.size))
 
 
 def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
@@ -209,11 +224,15 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     get zero statistics.  Returns (starts, sojourn, jumps, exits, loglik);
     starts/sojourn/exits are per-state sums over the weighted sample, jumps
     is the p x p matrix of expected transition counts.
+
+    Only the top p rows of G = sum_b (e^{C x_b} / s_b) sum_k g_bk M^k are
+    read, so the walk carries the top p rows of each anchor, and G is one
+    (p x 21 2p) @ (21 2p x 2p) product per depth group.
     """
     pi, T, t = d.pi, d.T, d.exit
     if table is None:
         table = _poisson_table(ys, _unif_rate(T))
-    q, cells, cell, delta, W, per_cell = table
+    q, cells, cell, delta, kept, per_cell = table
     r = _reached(pi, T)
     if r is not None:
         pi, T, t = pi[r], T[np.ix_(r, r)], t[r]
@@ -222,40 +241,46 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
     C[:p, :p] = C[p:, p:] = T
     C[:p, p:] = np.outer(t, pi)
     powers, squarings = _unif_setup(C, q, int(cells[-1]).bit_length())
-    span = max(1, _BLOCK_ENTRIES // (4 * p * p))  # anchors held at once
+    span = max(1, _BLOCK_ENTRIES // (2 * p * p))  # anchors held at once
 
-    # G = sum_i wt_i e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) G_b, G_b the
-    # window polynomial sum_k g_bk M^k; the sums run in a fixed order, so
-    # they are bitwise repeatable
-    G = np.zeros((2 * p, 2 * p))
+    # G = sum_i wt_i [I 0] e^{C y_i} / f_i = sum_b (e^{C x_b} / s_b) G_b, G_b
+    # the window polynomial sum_k g_bk M^k; the sums run in a fixed order,
+    # so they are bitwise repeatable
+    G = np.zeros((p, 2 * p))
     loglik = 0.0
     for c0 in range(0, cells.size, span):
         m = min(span, cells.size - c0)
-        a, z = np.searchsorted(cell, [c0, c0 + m])
-        E, logs = _walk(np.eye(2 * p), cells[c0 : c0 + m], squarings)
-        # s_b = pi e^{T x_b} e, from the top-left blocks
-        alpha = pi @ E[:, :p, :p]
+        a, z = (0, cell.size) if m == cells.size else np.searchsorted(cell, [c0, c0 + m])
+        E, logs = _walk(np.eye(p, 2 * p), cells[c0 : c0 + m], squarings)
+        # s_b = pi e^{T x_b} e, from the left blocks
+        alpha = pi @ E[:, :, :p]
         s = alpha.sum(axis=1)
         alpha /= s[:, None]
         logs += np.log(s)
-        E = E.reshape(m, -1) / s[:, None]
-        at_cell, w = cell[a:z] - c0, wt[a:z]
+        E = (E / s[:, None, None]).transpose(1, 0, 2)  # p x m x 2p
+        at_cell, w = cell[a:z] - c0 if c0 else cell[a:z], wt[a:z]
+        rows = kept if kept is None or m == cells.size else _kept_rows(
+            kept[0][a:z], delta[a:z], at_cell, m)
         for sub, Wg, f, done, pw in _window_groups(
-                alpha, powers[: _WINDOW_DEPTH + 1], t, delta[a:z], at_cell,
-                None if W is None else W[a:z]):
-            at, wd = at_cell[sub], w[sub] * done
-            c = np.divide(wd, f, out=np.zeros(f.size), where=done)
+                alpha, powers[: _WINDOW_DEPTH + 1], t, delta[a:z], at_cell, rows):
+            wd = w[sub]
             with np.errstate(divide="ignore"):
-                logf = np.log(f, out=np.zeros(f.size), where=done)
-            loglik += float(logf @ wd) + float(logs @ np.bincount(at, wd, m))
+                if done.all():
+                    c, logf = wd / f, np.log(f)
+                else:
+                    wd = wd * done
+                    c = np.divide(wd, f, out=np.zeros(f.size), where=done)
+                    logf = np.log(f, out=np.zeros(f.size), where=done)
+            loglik += float(logf @ wd) + float(np.take(logs, at_cell[sub]) @ wd)
             # per cell: g_bk = sum of c_i W_ik over the cell's points; a group
             # of all the table's points has the table's sum
-            S = per_cell if f.size == cell.size else _per_cell(at, m)
+            S = per_cell if f.size == cell.size else _per_cell(at_cell[sub], m)
             S.data = c
-            H = ((S @ Wg).T @ E).reshape(-1, 2 * p, 2 * p)
-            G += np.matmul(H, pw).sum(axis=0)
-    G11, U = G[:p, :p], G[:p, p:]
-    stats = [pi * (G11 @ t), np.diag(U).copy(), T * U.T, t * (pi @ G11)]
+            # H_k = sum_b g_bk E_b, laid out as one p x (K + 1) 2p row block
+            H = np.matmul((S @ Wg).T, E)
+            G += H.reshape(p, -1) @ pw.reshape(-1, 2 * p)
+    G11, U = G[:, :p], G[:, p:]
+    stats = [pi * (G11 @ t), U.diagonal().copy(), T * U.T, t * (pi @ G11)]
     if r is not None:
         for i, x in enumerate(stats):
             stats[i] = np.zeros((d.dim,) * x.ndim)
@@ -264,26 +289,27 @@ def _estep(d: PHDist, ys: np.ndarray, wt: np.ndarray, table=None):
 
 
 def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):
-    """Build the updated representation; ``freeze`` masks degenerate states."""
+    """Build the updated representation; ``freeze`` masks degenerate states,
+    whose rows keep their rates."""
     p = d.dim
     pi_new = np.maximum(starts, 0.0)
-    pi_new = pi_new / pi_new.sum()
-    T_new = np.array(d.T, dtype=float)
-    t_new = np.array(d.exit, dtype=float)
-    for i in range(p):
-        if freeze is not None and freeze[i]:
-            continue
-        if not (sojourn[i] > 0.0):
-            raise DegenerateStateError(
-                f"state {i} has zero expected sojourn time; cannot update its rates"
-            )
-        row = np.maximum(jumps[i], 0.0) / sojourn[i]
-        row[i] = 0.0
-        ti = max(exits[i], 0.0) / sojourn[i]
-        T_new[i] = row
-        T_new[i, i] = -(row.sum() + ti)
-        t_new[i] = ti
-    return ph_new(pi_new, T_new, markov=True)
+    pi_new /= pi_new.sum()
+    live = np.ones(p, dtype=bool) if freeze is None else ~freeze
+    stuck = live & ~(sojourn > 0.0)
+    if stuck.any():
+        raise DegenerateStateError(
+            f"state {int(np.argmax(stuck))} has zero expected sojourn time; "
+            "cannot update its rates"
+        )
+    # rates: jumps and exits over sojourn, the diagonal closing each row
+    R = np.maximum(jumps, 0.0)
+    np.divide(R, sojourn[:, None], out=R, where=live[:, None])
+    t = np.maximum(exits, 0.0)
+    np.divide(t, sojourn, out=t, where=live)
+    R.flat[:: p + 1] = 0.0
+    t += R.sum(axis=1)
+    R.flat[:: p + 1] = -t
+    return ph_new(pi_new, np.where(live[:, None], R, d.T), markov=True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +393,7 @@ def fit_ph_em(data, config: FitConfig) -> FitResult:
                 converged = True
                 break
         freeze = sojourn < 1e-12 * sojourn.sum()
-        if np.any(freeze):
+        if freeze.any():
             which = np.flatnonzero(freeze)
             msg = f"states {which.tolist()} frozen: expected sojourn below 1e-12 of total"
             if msg not in notes:

@@ -43,6 +43,7 @@ from .matfun import _incomplete_gamma, mat_fun, power_function
 from .phcore import (
     PHDist,
     _condition,
+    _tail_points,
     mixture_rep,
     ph_cdf,
     ph_log_moment,
@@ -356,14 +357,24 @@ def tph_sample(d: TransformedPH, rng: np.random.Generator, count: int) -> np.nda
 
 
 def tph_quantile(d: TransformedPH, q):
-    """Quantile of Y by monotone mapping of the base quantile."""
+    """Quantile of Y by monotone mapping of the base quantile.
+
+    A decreasing map takes the base point whose survival is q, solved as
+    such (``_tail_points``), so low levels keep their digits; level 1 is
+    the base's point 0.
+    """
     scalar, qs = _as_points(q)
     if d.transform.increasing:
         xs = ph_quantile(d.base, qs)
     else:
         if np.any(qs <= 0):
             raise DomainError("quantile level must be positive for decreasing transforms")
-        xs = ph_quantile(d.base, 1.0 - qs)
+        if np.any(qs > 1):
+            raise DomainError("quantile level must lie in (0, 1] for decreasing transforms")
+        xs = np.zeros_like(qs)
+        inner = qs < 1.0
+        if inner.any():
+            xs[inner] = _tail_points(d.base, qs[inner], upper=True)
     out = d.transform.from_x(xs, d.mu)
     return float(out[0]) if scalar else np.asarray(out, dtype=float)
 

@@ -60,6 +60,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import bsr_matrix
 from scipy.special import gammaln
 
 from .errors import (
@@ -102,6 +103,10 @@ EULER_GAMMA = float(np.euler_gamma)
 # Poisson tail below e^-40 for every delta < 1; see _window_groups for
 # when a window goes deeper
 _WINDOW_DEPTH = 20
+
+# the low table of _walk rescales its entries once after this many levels
+# (2^9 entries), then once per level
+_RAW_LEVELS = 9
 
 # the anchor step mixes X^k over k <= _STEP_DEPTH (see _unif_squarings);
 # the doubling that stacks the powers builds 32 of them with the same
@@ -176,7 +181,7 @@ def _check_start(pi, p: int, markov: bool = True) -> np.ndarray:
     if pi.shape[0] != p:
         raise ValidationError(f"pi has length {pi.shape[0]} but T is {p}x{p}")
     if markov:
-        if np.any(pi < -1e-15):
+        if (pi < -1e-15).any():
             i = int(np.argmin(pi))
             raise ValidationError(f"pi[{i}] = {pi[i]} is negative")
         pi = np.maximum(pi, 0.0)
@@ -300,25 +305,36 @@ def mixture_rep(weights, components) -> PHDist:
 
 def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray, log: bool = False) -> np.ndarray:
     """pi e^{Tx} v for an array of nonnegative x, or its log (-inf where
-    the value is not positive)."""
+    the value is not positive).
+
+    For ME laws the log factors e^{rho x} out of the eigen sum, or out of
+    each point's e^{Tx}, rho the largest real part of T's eigenvalues:
+    where the slowest terms carry weight the rest stays in the float
+    range, so the log of a value far below it is finite.
+    """
     xs = np.asarray(xs, dtype=float)
     pi, T = d.pi, d.T
     if d.markov:
         return _unif_action(pi, T, v, xs, log)
     with np.errstate(divide="ignore"):
         vals, V = np.linalg.eig(T)
+        rho = float(np.max(vals.real))
         if np.linalg.cond(V) < 1e7:
             w = (pi @ V) * np.linalg.solve(V, v.astype(complex))
+            if log:
+                vals = vals - rho
             out = (np.exp(np.multiply.outer(xs, vals)) @ w).real
         else:
+            if log:
+                T = T - rho * np.eye(d.dim)
             out = np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
-        return np.log(np.maximum(out, 0.0)) if log else out
+        return np.log(np.maximum(out, 0.0)) + rho * xs if log else out
 
 
 def _unif_rate(T: np.ndarray) -> float:
     """Uniformization rate q, just above the largest exit rate, so that
     P = I + T / q is elementwise nonnegative."""
-    return 1.0000001 * float(np.max(-np.diag(T)))
+    return 1.0000001 * -float(T.diagonal().min())
 
 
 def _unif_rows(pi: np.ndarray, P: np.ndarray, n: int, vanished: float = 0.0) -> np.ndarray:
@@ -335,16 +351,20 @@ def _unif_rows(pi: np.ndarray, P: np.ndarray, n: int, vanished: float = 0.0) -> 
 
 
 def _nonneg_powers(X: np.ndarray, K: int) -> np.ndarray:
-    """X^0, ..., X^K stacked, by doubling (about log2 K stacked products)."""
-    out = np.empty((K + 1, *X.shape))
-    out[0] = np.eye(X.shape[0])
+    """X^0, ..., X^K stacked, by doubling: about log2 K products, each of
+    the powers so far, stacked as rows, with the next square."""
+    n = X.shape[0]
+    out = np.empty((K + 1, n, n))
+    out[0] = np.eye(n)
+    rows = out.reshape(-1, n)
     have, Xh = 1, X
-    while have <= K:
+    while True:
         take = min(have, K + 1 - have)
-        np.matmul(out[:take], Xh, out=out[have : have + take])
+        np.matmul(rows[: take * n], Xh, out=rows[have * n : (have + take) * n])
         have += take
+        if have > K:
+            return out
         Xh = Xh @ Xh
-    return out
 
 
 def _reached(pi: np.ndarray, T: np.ndarray):
@@ -427,7 +447,9 @@ def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
                 A, log_c = A / big, log_c + math.log(big)
         if j >= s:
             out.append((A, log_c))
-        if log_c == 0.0:
+        if j + 1 == s + J:
+            return out
+        if log_c == 0.0 and j + 4 - j % 4 < s + J:  # a later reset reads d
             d = d + A @ d
         A, log_c = A @ A, 2.0 * log_c
     return out
@@ -440,9 +462,17 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     r < 2^l, built by doubling, with 2^l about twice the number of cells
     (at least 16); the copy of each cell's entry is then multiplied by the
     squaring j for each higher bit j set in b, so a sparse set of far
-    cells costs one product per bit, not one per cell passed.  Every product is
-    rescaled to entries summing to one; returns (copies, log scales), the
-    copies stacked as (cells, *X.shape).
+    cells costs one product per bit, not one per cell passed.  Every
+    product is rescaled to entries summing to one; returns (copies, log
+    scales), the copies stacked as (cells, *X.shape).
+
+    The table's first _RAW_LEVELS levels are rescaled once, after the last
+    of them.  Their products stay in range: each squaring A_j is at least
+    e^{-2^j} I (the step mixes in the identity with weight e^-1, and a
+    rescale divides by a largest entry below one) and at most n^7 in
+    every entry (four squarings past a rescale to a largest entry of
+    one), so the sum of a product of up to nine of them, times X, lies in
+    [e^{-511} sum X, n^72 sum X] for n <= 2 MAX_DIM.
     """
     r, n = X.shape
     l = min(len(squarings), max(int(cells.size).bit_length(), 4))
@@ -451,10 +481,14 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     low_logs = np.zeros(1 << l)
     for j, (A, log_c) in enumerate(squarings[:l]):
         h = 1 << j
-        Y = (low[:h].reshape(-1, n) @ A).reshape(h, r, n)
-        s = Y.sum(axis=(1, 2))
-        np.divide(Y, s[:, None, None], out=low[h : 2 * h])
-        low_logs[h : 2 * h] = low_logs[:h] + (np.log(s) + log_c)
+        np.matmul(low[:h].reshape(-1, n), A, out=low[h : 2 * h].reshape(-1, n))
+        np.add(low_logs[:h], log_c, out=low_logs[h : 2 * h])
+        if j >= min(l, _RAW_LEVELS) - 1:
+            # every product so far after the last raw level, then each new half
+            lo = 1 if j == min(l, _RAW_LEVELS) - 1 else h
+            s = low[lo : 2 * h].reshape(2 * h - lo, -1).sum(axis=1)
+            low[lo : 2 * h] /= s[:, None, None]
+            low_logs[lo : 2 * h] += np.log(s)
     rest = cells & ((1 << l) - 1)
     out, logs = np.take(low, rest, axis=0), np.take(low_logs, rest)
     for j, (A, log_c) in enumerate(squarings[l:], start=l):
@@ -484,7 +518,26 @@ def _window_rows(delta: np.ndarray, K: int) -> np.ndarray:
     return W
 
 
-def _window_groups(alpha, powers, v, delta, cell, W=None):
+def _kept_rows(W: np.ndarray, delta: np.ndarray, cell: np.ndarray, m: int):
+    """A kept table's rows and their constants: (W, tail, Z, tail_max).
+
+    W is the C-ordered (n, _WINDOW_DEPTH + 1) table of Poisson rows of
+    points in ascending cells ``cell`` (m of them); tail = W[:, K] delta
+    is each row's factor in the depth bound of ``_window_groups`` and
+    tail_max its largest value per cell.  Z is the n x (21 m) block-sparse
+    matrix whose row i holds W_i in block column cell_i, so that
+    Z @ vec(a) = sum_k W_ik a_{cell_i, k} for an m x 21 array a; its data
+    is W itself, not a copy.
+    """
+    K = W.shape[1] - 1
+    tail = W[:, K] * delta
+    Z = bsr_matrix((W.reshape(-1, 1, K + 1), cell, np.arange(cell.size + 1, dtype=np.int32)),
+                   shape=(cell.size, m * (K + 1)))
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    return W, tail, Z, np.maximum.reduceat(tail, starts)
+
+
+def _window_groups(alpha, powers, v, delta, cell, kept=None):
     """Window sums f_i = sum_{k <= K} Pois(k; delta_i) alpha_{cell_i} P^k v.
 
     ``alpha`` holds one anchor row per cell (each summing to one); P^k is
@@ -493,10 +546,17 @@ def _window_groups(alpha, powers, v, delta, cell, W=None):
     groups.  Yields (sub, W, f, done, powers) per group: its points (a
     slice, then ascending indices), their Poisson rows W over k = 0..K,
     the sums f, which of them are final, and X^0..X^K.  The first group is
-    every point at K = _WINDOW_DEPTH (``W`` may pass its rows in); a point
-    not done comes back in the next group at twice the depth.  Groups are
-    yielded in slices of at most _BLOCK_ENTRIES Poisson entries, but for a
-    ``W`` passed in.
+    every point at K = _WINDOW_DEPTH; a point not done comes back in the
+    next group at twice the depth.  Groups are yielded in slices of at
+    most _BLOCK_ENTRIES Poisson entries, but for a table ``kept`` (from
+    ``_kept_rows``) passed in for the first group.
+
+    Two routes give the first group's sums.  Rows of a kept table, read
+    every EM iteration, go through its block-sparse view, one product
+    f = Z @ vec(alpha P^k v) for every cell at once.  Fresh rows, built
+    F-ordered for one use (evaluation, a streamed E-step, deeper groups),
+    take one dense product and a row-wise dot: a C-ordered copy and a
+    sparse view of them would cost twice that or more (at 5000 points).
 
     Depth bound: P is substochastic, so every later coefficient
     alpha P^k v (k > K) is at most S_K max(v), with S_K = alpha P^K e, and
@@ -504,35 +564,51 @@ def _window_groups(alpha, powers, v, delta, cell, W=None):
     each term is at most delta / (K + 1) times the one before.  A sum is
     done once that bound on what it drops is at most 2^-53 of it.  The
     tail leaves the float range before K = 171, so the depth stays below
-    320.
+    320.  On a kept table one test per cell settles it first: every sum
+    has f_i >= Pois(0; delta_i) alpha_b v > 0.36 alpha_b v, so a cell
+    whose largest tail factor passes against 0.36 alpha_b v has every
+    point done, exactly as the test point by point would find.
     """
+    if not delta.size:
+        return
     p = alpha.shape[1]
-    vmax = float(np.max(v))
+    vmax = float(v.max())
     K = _WINDOW_DEPTH
-    idx = np.arange(delta.size)
-    rows = delta.size if W is not None else max(1, _BLOCK_ENTRIES // (K + 1))
-    while idx.size:
+    idx = None  # the group's points; None for all of them, the first group
+    while True:
         Pk = powers[:, :p, :p]
         cols = Pk @ v  # P^k v, k = 0..K, as rows
-        reach = Pk[K].sum(axis=1) * (vmax / K)
-        deeper = []
-        for lo in range(0, idx.size, rows):
-            pts = idx[lo : lo + rows]
-            # the first group takes its points as a slice: no copies
-            sub = slice(lo, lo + pts.size) if K == _WINDOW_DEPTH else pts
-            Ws = _window_rows(delta[sub], K) if W is None else W
-            at = cell[sub]
-            f = np.einsum("ij,ij->i", Ws @ cols, np.take(alpha, at, axis=0))
-            # NaN compares false, so it never asks for a deeper series
-            deep = Ws[:, K] * delta[sub] * np.take(alpha @ reach, at) > _EPS * f
-            yield sub, Ws, f, ~deep, powers
-            deeper.append(pts[deep])
+        reach = alpha @ (Pk[K].sum(axis=1) * (vmax / K))
+        if kept is not None:
+            W, tail, Z, tail_max = kept
+            coef = alpha @ cols.T  # alpha_b P^k v, one row per cell
+            f = Z @ coef.ravel()
+            if (tail_max * reach <= _EPS * (0.36 * coef[:, 0])).all():
+                yield slice(0, f.size), W, f, np.ones(f.size, dtype=bool), powers
+                return
+            deep = tail * np.take(reach, cell) > _EPS * f
+            yield slice(0, f.size), W, f, ~deep, powers
+            deeper = [np.flatnonzero(deep)]
+            kept = None
+        else:
+            n = delta.size if idx is None else idx.size
+            rows = max(1, _BLOCK_ENTRIES // (K + 1))
+            deeper = []
+            for lo in range(0, n, rows):
+                # the first group takes its points as slices: no copies
+                sub = slice(lo, min(lo + rows, n)) if idx is None else idx[lo : lo + rows]
+                W = _window_rows(delta[sub], K)
+                at = cell[sub]
+                f = np.einsum("ij,ij->i", W @ cols, np.take(alpha, at, axis=0))
+                # NaN compares false, so it never asks for a deeper series
+                deep = W[:, K] * delta[sub] * np.take(reach, at) > _EPS * f
+                yield sub, W, f, ~deep, powers
+                deeper.append(lo + np.flatnonzero(deep) if idx is None else sub[deep])
         idx = np.concatenate(deeper)
-        W = None
+        if not idx.size:
+            return
         K *= 2
-        rows = max(1, _BLOCK_ENTRIES // (K + 1))
-        if idx.size:
-            powers = _nonneg_powers(powers[1], K)
+        powers = _nonneg_powers(powers[1], K)
 
 
 # the powers and anchor squarings of the generator evaluated last: a
@@ -768,14 +844,9 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
     """Quantile: the midpoint of a bracket within ``rel_tol`` of its upper end.
 
-    Levels below 1/2 solve log ph_cdf(x) = log q, the rest
-    -log ph_sf(x) = -log(1 - q), so neither tail loses its digits to
-    1 - q rounding (ph_cdf is only called for levels below 1/2).  Each
-    group goes through ``_solve_increasing`` at once: halving and doubling
-    from the mean give one lower and one upper bound, one geometric grid
-    of four points per octave between them brackets every level, and
-    Anderson-Bjorck regula falsi with a bisection safeguard refines the
-    open brackets, about five evaluations per level.  Level 0 gives 0.
+    The levels go through ``_tail_points``: below 1/2 they solve
+    log ph_cdf(x) = log q, the rest -log ph_sf(x) = -log(1 - q), so
+    neither tail loses its digits to 1 - q rounding.  Level 0 gives 0.
     """
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
@@ -783,18 +854,40 @@ def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
     if np.any(~((q_arr >= 0) & (q_arr < 1))):
         raise DomainError("quantile level must lie in [0, 1)")
     out = np.zeros_like(q_arr)
-    low = (q_arr > 0.0) & (q_arr < 0.5)
-    high = q_arr >= 0.5
-    if low.any() or high.any():
-        x0 = ph_mean(d)
-        fail = DomainError("quantile bracket did not close; level too extreme")
-        if low.any():
-            out[low] = _solve_increasing(
-                lambda x: _log(ph_cdf(d, x)), np.log(q_arr[low]), x0, fail, rel_tol)
-        if high.any():
-            out[high] = _solve_increasing(
-                lambda x: -_log(ph_sf(d, x)), -np.log(1.0 - q_arr[high]), x0, fail, rel_tol)
+    inner = q_arr > 0.0
+    if inner.any():
+        out[inner] = _tail_points(d, q_arr[inner], False, rel_tol)
     return float(out[0]) if scalar else out
+
+
+def _tail_points(d: PHDist, lv: np.ndarray, upper: bool, rel_tol: float = 1e-10):
+    """Points x with P(X > x) = lv if ``upper``, else P(X <= x) = lv, for
+    levels in (0, 1).
+
+    A level below 1/2 is solved on the log of its own tail, a level at or
+    above it on the log of the other tail at 1 - lv, which is exact there:
+    log ph_cdf(x) = log c or -log ph_sf(x) = -log c, with c <= 1/2 the
+    level of the tail solved on, so no level loses its digits to a
+    complement (ph_cdf is only called where its level is below 1/2).  Each
+    tail goes through ``_solve_increasing`` at once: halving and doubling
+    from the mean give one lower and one upper bound, one geometric grid
+    of four points per octave between them brackets every level, and
+    Anderson-Bjorck regula falsi with a bisection safeguard refines the
+    open brackets, about five evaluations per level.
+    """
+    small = lv < 0.5
+    c = np.where(small, lv, 1.0 - lv)
+    on_cdf = small != upper
+    out = np.empty_like(lv)
+    x0 = ph_mean(d)
+    fail = DomainError("quantile bracket did not close; level too extreme")
+    if on_cdf.any():
+        out[on_cdf] = _solve_increasing(
+            lambda x: _log(ph_cdf(d, x)), np.log(c[on_cdf]), x0, fail, rel_tol)
+    if not on_cdf.all():
+        out[~on_cdf] = _solve_increasing(
+            lambda x: -_log(ph_sf(d, x)), -np.log(c[~on_cdf]), x0, fail, rel_tol)
+    return out
 
 
 def _log(v: np.ndarray) -> np.ndarray:

@@ -7,12 +7,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma
 
 import iphfit.emfit as emfit
 from iphfit.emfit import (
     FitConfig,
     _estep,
+    _mstep,
     _poisson_table,
     _random_init,
     em_step,
@@ -23,6 +26,7 @@ from iphfit.emfit import (
 )
 from iphfit.errors import (
     ConfigError,
+    DegenerateStateError,
     DegenerateStateWarning,
     DomainError,
     ShiftError,
@@ -271,9 +275,10 @@ def test_streamed_estep_matches_a_kept_table():
     assert ys.size == 30000
     wt = np.random.default_rng(84).integers(1, 4, ys.size).astype(float)
     table = _poisson_table(ys, _unif_rate(d.T))
-    q, cells, cell, delta, W, per_cell = table
-    assert W is None and per_cell is None
-    kept = (q, cells, cell, delta, np.ascontiguousarray(_window_rows(delta, 20)),
+    q, cells, cell, delta, rows, per_cell = table
+    assert rows is None and per_cell is None
+    W = np.ascontiguousarray(_window_rows(delta, 20))
+    kept = (q, cells, cell, delta, emfit._kept_rows(W, delta, cell, cells.size),
             emfit._per_cell(cell, cells.size))
     got, want = _estep(d, ys, wt, table), _estep(d, ys, wt, kept)
     for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
@@ -286,6 +291,122 @@ def test_streamed_estep_matches_a_kept_table():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@st.composite
+def kept_table_cases(draw):
+    """A Markov law of order 1..6 from ``random_sub_intensity``, one of its
+    rows scaled up by 1, 1e3 or 1e5, and data over 1..60 anchor cells of a
+    table kept at 1..2 times the law's rate, the cells spread up to 200
+    apart, half the offsets drawn just below 1.  With the fast row, about
+    one case in six has points whose windows go deeper than 20."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 6))
+    T = random_sub_intensity(rng, p)
+    T[draw(st.integers(0, p - 1))] *= draw(st.sampled_from([1.0, 1e3, 1e5]))
+    d = ph_new(random_probability(rng, p), T)
+    q = _unif_rate(T) * draw(st.floats(1.0, 2.0))
+    n = draw(st.integers(1, 60))
+    cells = np.sort(rng.choice(draw(st.sampled_from([n, 10 * n, 200 + n])), n, replace=False))
+    near_one = 1.0 - 2.0 ** -rng.integers(1, 20, n).astype(float)
+    ys = np.unique(np.concatenate([cells + rng.uniform(0.0, 1.0, n), cells + near_one]) / q)
+    return d, ys, rng.integers(1, 4, ys.size).astype(float), q
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=kept_table_cases())
+def test_kept_table_estep_matches_step_by_step_recurrences(case):
+    d, ys, wt, q = case
+    table = _poisson_table(ys, q)
+    assert table[4] is not None
+    got = _estep(d, ys, wt, table)
+    want = recurrence_estep(d, ys, wt)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
+    # the kept rows take the block-sparse route and the per-cell depth
+    # test; fresh rows of the same points give the same verdicts
+    q, cells, cell, delta, kept, _ = table
+    assert np.shares_memory(kept[2].data, kept[0])  # the view holds no copy of the rows
+    alpha = np.random.default_rng(ys.size).uniform(0.1, 1.0, (cells.size, d.dim))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    powers = np.stack([np.linalg.matrix_power(np.eye(d.dim) + d.T / q, k) for k in range(21)])
+    args = (alpha, powers, d.exit, delta, cell)
+    for a, b in zip(emfit._window_groups(*args, kept), emfit._window_groups(*args)):
+        np.testing.assert_array_equal(a[3], b[3])
+        np.testing.assert_allclose(a[2], b[2], rtol=1e-14, atol=0.0)
+
+
+def test_kept_table_over_several_anchor_spans(monkeypatch):
+    # the anchors are walked a span of cells at a time; with a span of 3
+    # cells each span takes its own block-sparse view of the kept rows
+    d = ph_new(BASE_PI, BASE_T)
+    rng = np.random.default_rng(91)
+    ys = np.unique(rng.gamma(2.0, 1.5, 300))
+    wt = rng.integers(1, 4, ys.size).astype(float)
+    table = _poisson_table(ys, 1.5 * _unif_rate(d.T))
+    assert table[4] is not None and table[1].size > 9
+    want = _estep(d, ys, wt, table)
+    monkeypatch.setattr(emfit, "_BLOCK_ENTRIES", 3 * 2 * d.dim**2)
+    got = _estep(d, ys, wt, table)
+    for name, a, b in zip(("starts", "sojourn", "jumps", "exits"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0, err_msg=name)
+    assert got[4] == pytest.approx(want[4], rel=1e-14)
+
+
+def _loop_mstep(d, starts, sojourn, jumps, exits, freeze=None):
+    """The M-step one state at a time: the reference for the vectorised
+    one, which must match it bit for bit."""
+    pi_new = np.maximum(starts, 0.0)
+    pi_new = pi_new / pi_new.sum()
+    T_new = np.array(d.T, dtype=float)
+    for i in range(d.dim):
+        if freeze is not None and freeze[i]:
+            continue
+        if not (sojourn[i] > 0.0):
+            raise DegenerateStateError(
+                f"state {i} has zero expected sojourn time; cannot update its rates"
+            )
+        row = np.maximum(jumps[i], 0.0) / sojourn[i]
+        row[i] = 0.0
+        ti = max(exits[i], 0.0) / sojourn[i]
+        T_new[i] = row
+        T_new[i, i] = -(row.sum() + ti)
+    return ph_new(pi_new, T_new, markov=True)
+
+
+def test_mstep_matches_the_loop_over_states():
+    rng = np.random.default_rng(90)
+    for trial in range(300):
+        p = int(rng.integers(1, 30))
+        d = ph_new(random_probability(rng, p), random_sub_intensity(rng, p))
+        starts = rng.random(p)
+        sojourn = rng.random(p) * 10.0 ** rng.uniform(-3, 3, p)
+        jumps = rng.random((p, p)) * 10.0 ** rng.uniform(-3, 3, (p, p))
+        jumps *= rng.random((p, p)) < 0.7
+        np.fill_diagonal(jumps, -rng.random(p))  # T_ii U_ii: never positive
+        exits = rng.random(p) * 10.0 ** rng.uniform(-3, 3, p)
+        freeze = None if trial % 3 == 0 else rng.random(p) < 0.3
+        if freeze is not None:
+            sojourn[freeze & (rng.random(p) < 0.5)] = 0.0  # frozen: never divided by
+        got = _mstep(d, starts, sojourn, jumps, exits, freeze)
+        want = _loop_mstep(d, starts, sojourn, jumps, exits, freeze)
+        assert np.array_equal(got.T, want.T) and np.array_equal(got.pi, want.pi)
+        assert np.array_equal(got.exit, want.exit)
+
+
+def test_mstep_zero_sojourn_error_names_the_first_live_state():
+    d = ph_new(BASE_PI, BASE_T)
+    sojourn = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+    stats = (np.ones(5), sojourn, np.ones((5, 5)), np.ones(5))
+    for freeze, state in ((None, 1), (np.array([0, 1, 0, 0, 0], bool), 3)):
+        with pytest.raises(DegenerateStateError, match=f"^state {state} has zero expected"):
+            _mstep(d, *stats, freeze=freeze)
+        with pytest.raises(DegenerateStateError, match=f"^state {state} has zero expected"):
+            _loop_mstep(d, *stats, freeze=freeze)
+    frozen = _mstep(d, *stats, freeze=sojourn == 0.0)
+    assert np.array_equal(frozen.T, _loop_mstep(d, *stats, freeze=sojourn == 0.0).T)
+    assert np.array_equal(frozen.T[[1, 3]], BASE_T[[1, 3]])
 
 
 def test_a_state_pi_never_reaches_gets_zero_statistics():

@@ -340,6 +340,24 @@ def test_quantile_round_trip_all_families():
         assert np.max(np.abs(back - qs)) < 1e-8, tr.tag
 
 
+@pytest.mark.parametrize("q", [1e-17, 1e-12, 0.3, 0.9])
+@pytest.mark.parametrize("tr", [ShiftedPower(0.0, 1.0, 0.5), NegLogAffine(0.0, 1.0)],
+                         ids=lambda tr: tr.tag)
+def test_decreasing_map_quantile_keeps_low_levels(tr, q):
+    # a decreasing map takes the base point of survival q; through the
+    # complement 1 - q a level of 1e-12 would keep five digits, and 1e-17
+    # would round to the base level 1
+    d = tph_new(erlang_rep(2, 1.0), tr)
+    assert tph_cdf(d, tph_quantile(d, q)) == pytest.approx(q, rel=1e-9, abs=0.0)
+
+
+def test_decreasing_map_quantile_levels_are_checked():
+    d = tph_new(erlang_rep(2, 1.0), ShiftedPower(0.0, 1.0, 0.5))
+    for q, match in ((0.0, "positive"), (1.5, "lie in")):
+        with pytest.raises(DomainError, match=match):
+            tph_quantile(d, q)
+
+
 def test_sampling_ks_smoke():
     n = 20000
     crit = ks_critical(n, 0.01)
@@ -421,6 +439,20 @@ def test_laplace_large_argument_route():
             limit=400,
         )
         assert mp_laplace(d, s) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-8, 1e-4, 1.0, 80.0])
+def test_laplace_of_a_slowly_decaying_phase_matches_mpmath(a):
+    # tail index 1e-3: in w = e^x - 1 the integrand decays like w^-1.001,
+    # too slowly for a quadrature over [0, inf) to resolve at small a
+    lam = 1e-3
+    d = tph_new(ph_new([1.0], [[-lam]]), ParetoExp(beta=None))
+    with mpmath.workdps(30):
+        want = float(lam * mp_scaled_upper_gamma(-lam, a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mp_laplace(d, a)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 # the 5-phase law of the query-mix benchmark workload: distinct real eigenvalues

@@ -650,6 +650,41 @@ def test_a_point_past_the_cell_range_is_a_domain_error(x):
             f(d, [x])
 
 
+@pytest.mark.parametrize("x", [1.0, 800.0, 1e4])
+def test_me_log_density_of_one_phase_is_exact_past_underflow(x):
+    d = ph_new([1.0], [[-1.0]], markov=False)
+    assert ph_loglik(d, [x]) == pytest.approx(-x, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [3.0, 800.0, 5000.0])
+@pytest.mark.parametrize("law", ["hypoexponential", "erlang"])
+def test_me_far_log_density_matches_mpmath_expm(law, x):
+    # the eigen route (distinct rates 1 and 2, pi = (2, -1)) and the
+    # per-point e^{Tx} route (a defective Jordan block); both densities
+    # underflow past x = 745, where the log of the plain sum is -inf
+    if law == "hypoexponential":
+        d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
+    else:
+        d = ph_new([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], markov=False)
+    import mpmath
+
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix(d.T.tolist()) * x)
+        val = sum(d.pi[i] * E[i, j] * d.exit[j] for i in range(2) for j in range(2))
+        want = float(mpmath.log(val))
+    assert ph_loglik(d, [x]) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_me_density_values_do_not_take_the_log_shift():
+    # the shift e^{rho x} is only factored out of the log
+    d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
+    xs = np.array([0.0, 0.5, 3.0, 40.0, 800.0])
+    vals, V = np.linalg.eig(d.T)
+    w = (d.pi @ V) * np.linalg.solve(V, d.exit.astype(complex))
+    want = np.maximum((np.exp(np.multiply.outer(xs, vals)) @ w).real, 0.0)
+    assert np.array_equal(ph_pdf(d, xs), want)
+
+
 @pytest.mark.parametrize("lam", [1e-3, 0.37, 1.0, 5.0, 1e3])
 def test_one_phase_law_through_the_kernel_is_the_exponential(lam):
     # wherever lam e^{-lam x} is above 1e-300
