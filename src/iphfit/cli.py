@@ -304,8 +304,11 @@ def eval_cmd(params_path: str, query: str, at: float | None) -> str:
         return format(tph_sf(model, float(at)), ".17g")
     if query == "quantile":
         q = float(at)
-        if not (0 <= q < 1):
+        # a decreasing map sends level 1 to the support's upper end
+        if model.transform.increasing and not (0 <= q < 1):
             raise ConfigError(f"quantile level must be in [0,1), got {q}")
+        if not model.transform.increasing and not (0 < q <= 1):
+            raise ConfigError(f"quantile level must be in (0,1] for a decreasing map, got {q}")
         return format(tph_quantile(model, q), ".17g")
     raise ConfigError(f"unknown query {query!r}")
 

@@ -360,22 +360,21 @@ def tph_quantile(d: TransformedPH, q):
     """Quantile of Y by monotone mapping of the base quantile.
 
     A decreasing map takes the base point whose survival is q, solved as
-    such (``_tail_points``), so low levels keep their digits; level 1 is
-    the base's point 0.
+    such (``_tail_points``), so low levels keep their digits; level 1,
+    the base's point 0, is the upper end of the support.
     """
     scalar, qs = _as_points(q)
     if d.transform.increasing:
-        xs = ph_quantile(d.base, qs)
+        out = d.transform.from_x(ph_quantile(d.base, qs), d.mu)
     else:
         if np.any(qs <= 0):
             raise DomainError("quantile level must be positive for decreasing transforms")
         if np.any(qs > 1):
             raise DomainError("quantile level must lie in (0, 1] for decreasing transforms")
-        xs = np.zeros_like(qs)
+        out = np.full_like(qs, d.transform.support(d.mu)[1])
         inner = qs < 1.0
         if inner.any():
-            xs[inner] = _tail_points(d.base, qs[inner], upper=True)
-    out = d.transform.from_x(xs, d.mu)
+            out[inner] = d.transform.from_x(_tail_points(d.base, qs[inner], upper=True), d.mu)
     return float(out[0]) if scalar else np.asarray(out, dtype=float)
 
 

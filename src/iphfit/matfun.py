@@ -9,12 +9,12 @@ definition
 
     h(A) = (1/2пi) oint h(z) (zI - A)^{-1} dz
 
-through a Schur-Parlett scheme: reduce A to complex triangular form, apply
-``h`` on the diagonal, and recover the off-diagonal part by the Parlett
-block recurrence.  Eigenvalues closer to each other than ``1e-7 * ||A||``
-are grouped into one block which is evaluated by a local Taylor expansion;
-that is what makes repeated-eigenvalue (Erlang-like) representations work,
-where the recurrence alone would divide by zero.
+through a Schur-Parlett scheme (Davies & Higham 2003): reduce A to complex
+triangular form, reorder it by ``ztrsen`` so that eigenvalues closer than
+``1e-7 * ||A||`` form contiguous diagonal blocks, evaluate each block by a
+local Taylor expansion, which is what makes repeated-eigenvalue
+(Erlang-like) representations work, and sweep the block rows from the last,
+one triangular Sylvester solve (``ztrsyl``) per row.
 
 All operations are pure functions of their arguments; matrices are dense
 and of order at most 128.
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import quad
-from scipy.linalg.lapack import ztrexc
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .errors import (
     DomainError,
@@ -304,57 +304,6 @@ def _log_neg(T) -> np.ndarray:
 # generic analytic matrix functions (Schur-Parlett)
 # ---------------------------------------------------------------------------
 
-def _cluster_labels(eigs: np.ndarray, tol: float) -> list[int]:
-    """Union-find grouping of eigenvalues closer than ``tol``."""
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return [find(i) for i in range(n)]
-
-
-def _reorder_schur(T, Q, labels):
-    """Reorder a complex Schur form so equal-label eigenvalues are contiguous.
-
-    Uses unitary similarity swaps (LAPACK ztrexc); returns the reordered
-    pair plus the list of diagonal blocks as (start, stop) index pairs.
-    """
-    n = T.shape[0]
-    rank = {}
-    for lab in labels:
-        rank.setdefault(lab, len(rank))
-    target = sorted(labels, key=lambda lab: rank[lab])
-    current = list(labels)
-    for pos in range(n):
-        if current[pos] == target[pos]:
-            continue
-        idx = pos + 1
-        while current[idx] != target[pos]:
-            idx += 1
-        T, Q, info = ztrexc(T, Q, idx + 1, pos + 1)
-        if info != 0:
-            raise NonConvergenceError(f"Schur reordering failed (ztrexc info={info})")
-        current.insert(pos, current.pop(idx))
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or current[i] != current[start]:
-            blocks.append((start, i))
-            start = i
-    return T, Q, blocks
-
-
 def _taylor_atom(Tblk: np.ndarray, h: AnalyticFunction) -> np.ndarray:
     """Evaluate h on one triangular diagonal block with clustered eigenvalues.
 
@@ -393,8 +342,13 @@ def _taylor_atom(Tblk: np.ndarray, h: AnalyticFunction) -> np.ndarray:
 def mat_fun(A, h: AnalyticFunction) -> np.ndarray:
     """Evaluate the analytic function ``h`` at the matrix ``A``.
 
-    Schur-Parlett with confluent-cluster handling; see the module
-    docstring.  ``h`` must be analytic on a neighborhood of the spectrum.
+    ``h`` must be analytic on a neighborhood of the spectrum.  Clusters are
+    the transitively connected classes of |l_i - l_j| <= CLUSTER_RTOL ||A||_2,
+    numbered by their first eigenvalue.  One ``ztrsen`` call per cluster
+    boundary j moves clusters 0..j of the Schur form T = Q* A Q to the front,
+    keeping the order of the selected and of the unselected eigenvalues.
+    Block row i, swept from the last, takes F11 from :func:`_taylor_atom` and
+    F12 from T11 F12 - F12 T22 = F11 T12 - T12 F22, with F22 already known.
     """
     A = check_square(A)
     if not isinstance(h, AnalyticFunction):
@@ -406,29 +360,35 @@ def mat_fun(A, h: AnalyticFunction) -> np.ndarray:
     if nrm == 0.0:
         return np.eye(n) * complex(h(0.0)).real
     T, Q = sla.schur(A.astype(complex), output="complex")
-    labels = _cluster_labels(np.diag(T), CLUSTER_RTOL * nrm)
-    T, Q, blocks = _reorder_schur(T, Q, labels)
+
+    eigs = np.diag(T)
+    near = np.abs(eigs[:, None] - eigs) <= CLUSTER_RTOL * nrm
+    while True:
+        closed = near @ near.astype(float) > 0
+        if (closed == near).all():
+            break
+        near = closed
+    labels = np.unique(np.argmax(near, axis=1), return_inverse=True)[1].ravel()
+
+    for j in range(labels.max()):
+        select = labels <= j
+        T, Q, _, _, _, _, info = ztrsen(select, T, Q, job="N")
+        if info != 0:
+            raise NonConvergenceError(f"Schur reordering failed (ztrsen info={info})")
+        labels = np.concatenate([labels[select], labels[~select]])
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels))])
 
     F = np.zeros_like(T)
-    for i0, i1 in blocks:
-        F[i0:i1, i0:i1] = _taylor_atom(T[i0:i1, i0:i1], h)
-
-    # Parlett block recurrence: solve T_ii F_ij - F_ij T_jj = C block by block,
-    # sweeping superdiagonals outward so every needed block is already known.
-    nb = len(blocks)
-    for sd in range(1, nb):
-        for ib in range(nb - sd):
-            jb = ib + sd
-            i0, i1 = blocks[ib]
-            j0, j1 = blocks[jb]
-            C = F[i0:i1, i0:i1] @ T[i0:i1, j0:j1] - T[i0:i1, j0:j1] @ F[j0:j1, j0:j1]
-            for kb in range(ib + 1, jb):
-                k0, k1 = blocks[kb]
-                C += F[i0:i1, k0:k1] @ T[k0:k1, j0:j1]
-                C -= T[i0:i1, k0:k1] @ F[k0:k1, j0:j1]
-            F[i0:i1, j0:j1] = sla.solve_sylvester(
-                T[i0:i1, i0:i1], -T[j0:j1, j0:j1], C
-            )
+    for i0, i1 in zip(bounds[-2::-1], bounds[:0:-1]):
+        F[i0:i1, i0:i1] = F11 = _taylor_atom(T[i0:i1, i0:i1], h)
+        if i1 == n:
+            continue
+        T12 = T[i0:i1, i1:]
+        C = F11 @ T12 - T12 @ F[i1:, i1:]
+        X, scale, info = ztrsyl(T[i0:i1, i0:i1], T[i1:, i1:], C, isgn=-1)
+        if info < 0:
+            raise NonConvergenceError(f"Parlett recurrence failed (ztrsyl info={info})")
+        F[i0:i1, i1:] = X / scale
 
     out = Q @ F @ Q.conj().T
     return out.real

@@ -21,7 +21,7 @@ from iphfit.cli import (
     run_fit,
 )
 from iphfit.errors import ConfigError, DataFileError
-from iphfit.families import ParetoExp, tph_new
+from iphfit.families import NegLogAffine, ParetoExp, ShiftedPower, tph_new
 from iphfit.modelio import save_model
 from iphfit.phcore import erlang_rep
 
@@ -249,6 +249,25 @@ def test_eval_infinite_mean_marker(tmp_path):
     path = tmp_path / "m.json"
     save_model(tph_new(erlang_rep(1, 0.5), ParetoExp()), path)
     assert eval_cmd(str(path), "mean", None) == "infinite"
+
+
+@pytest.mark.parametrize("transform, top", [
+    (ParetoExp(), None),
+    (NegLogAffine(0.0, 1.0), math.inf),
+    (ShiftedPower(0.0, 1.0, 0.5), math.inf),
+    (ShiftedPower(0.0, 1.0, -0.4), 2.5),
+])
+def test_eval_quantile_levels_follow_the_map_direction(tmp_path, capsys, transform, top):
+    # an increasing map takes levels in [0, 1), a decreasing one (0, 1],
+    # where level 1 is the support's upper end; the other end is a config error
+    path = tmp_path / "m.json"
+    save_model(tph_new(erlang_rep(2, 1.0), transform), path)
+    ask = ["eval", "--params", str(path), "--query", "quantile", "--at"]
+    good, bad = ("0", "1") if top is None else ("1", "0")
+    assert main(ask + [good]) == EXIT_OK
+    assert float(capsys.readouterr().out) == (0.0 if top is None else top)
+    assert main(ask + [bad]) == EXIT_CONFIG
+    assert "quantile level must be in" in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -263,7 +263,13 @@ def test_pdf_integrates_to_one():
         lo, hi = d.transform.support(d.mu)
         top = float(tph_quantile(d, 1.0 - 1e-10)) if not np.isfinite(hi) else hi
         bottom = lo if np.isfinite(lo) else float(tph_quantile(d, 1e-11))
-        edges = np.linspace(bottom, top, 40)
+        if bottom == 0.0:
+            # heavy tails reach top ~ 4e7: equal pieces would leave the
+            # first one spanning all the mass, so go geometric past 0
+            median = float(tph_quantile(d, 0.5))
+            edges = np.concatenate([[0.0], np.geomspace(1e-3 * median, top, 39)])
+        else:
+            edges = np.linspace(bottom, top, 40)
         total = sum(
             quad(lambda y: float(tph_pdf(d, y)), a, b, limit=200)[0]
             for a, b in zip(edges[:-1], edges[1:])
@@ -349,6 +355,28 @@ def test_decreasing_map_quantile_keeps_low_levels(tr, q):
     # would round to the base level 1
     d = tph_new(erlang_rep(2, 1.0), tr)
     assert tph_cdf(d, tph_quantile(d, q)) == pytest.approx(q, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("tr, shift, want", [
+    (NegLogAffine(0.0, 1.0), 0.0, math.inf),
+    (ShiftedPower(0.0, 1.0, 0.5), 0.0, math.inf),
+    (ShiftedPower(0.0, 1.0, -0.4), 0.0, 2.5),
+    (NegLogAffine(0.0, 1.0), 0.4, -math.log(0.4)),
+    (ShiftedPower(0.0, 1.0, 0.5), 0.4, (0.4**-0.5 - 1.0) / 0.5),
+    (ShiftedPower(0.0, 1.0, -0.4), 0.4, (0.4**0.4 - 1.0) / -0.4),
+])
+def test_decreasing_map_level_one_is_the_upper_end(tr, shift, want):
+    # level 1 is the base's point 0, which an unshifted map sends to
+    # mu - sigma log 0 or mu + sigma (0^{-xi} - 1)/xi: the support's end,
+    # reached without evaluating the map there
+    d = tph_new(erlang_rep(2, 1.0), tr if shift == 0.0 else ShiftedTransform(tr, shift))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tph_quantile(d, 1.0)
+        inner, top = tph_quantile(d, np.array([0.5, 1.0]))
+    assert got == top == pytest.approx(want, rel=1e-14)
+    assert got == d.transform.support(d.mu)[1]
+    assert inner < top
 
 
 def test_decreasing_map_quantile_levels_are_checked():

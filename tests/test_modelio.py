@@ -174,6 +174,22 @@ def test_model_mean_shifted_pareto_closed_form():
     assert model_mean(d) == pytest.approx(want, rel=1e-10)
 
 
+def test_model_mean_shifted_laws_by_quadrature():
+    # Y = (U + 2)^2 with U ~ Erlang(3, 2): E U = 3/2 and E U^2 = 3, so E Y = 13
+    d = tph_new(erlang_rep(3, 2.0), ShiftedTransform(Power(0.5), 2.0))
+    assert model_mean(d) == pytest.approx(13.0, rel=1e-12)
+    # Y = 1 - log(U + 0.3) / 2, against the Erlang(3, 2) density in mpmath
+    import mpmath
+
+    g = tph_new(erlang_rep(3, 2.0), ShiftedTransform(NegLogAffine(1.0, 0.5), 0.3))
+    with mpmath.workdps(30):
+        want = mpmath.quad(
+            lambda u: (1 - mpmath.log(u + 0.3) / 2) * 4 * u**2 * mpmath.exp(-2 * u),
+            [0, 1, mpmath.inf],
+        )
+    assert model_mean(g) == pytest.approx(float(want), rel=1e-10)
+
+
 def test_model_to_doc_shift_unwrapping():
     d = tph_new(erlang_rep(1, 1.0), ShiftedTransform(Power(2.0), 0.7))
     doc = model_to_doc(d)
