@@ -298,6 +298,8 @@ def eval_cmd(params_path: str, query: str, at: float | None) -> str:
         return "infinite" if math.isinf(m) else format(m, ".17g")
     if at is None:
         raise ConfigError(f"query {query!r} needs --at")
+    if math.isnan(at):
+        raise ConfigError(f"query {query!r} needs a number for --at, got {at}")
     if query == "pdf":
         return format(tph_pdf(model, float(at)), ".17g")
     if query == "sf":

@@ -83,7 +83,7 @@ class RateFunction:
     ``primitive`` is R(x) = int_0^x rate(t) dt; when no closed form is
     supplied an adaptive-quadrature fallback is used.  ``inverse_primitive``
     is the transform g = R^{-1} when known; otherwise inversion falls back
-    to a bracketed false-position solve at 1e-10 relative tolerance.
+    to ``phcore._solve_increasing`` at 1e-10 relative tolerance.
     Build through :func:`rate_function`, which validates positivity on a
     log-spaced grid.
     Callables must be side-effect-free; vectorized evaluation assumes it.
@@ -115,8 +115,8 @@ class RateFunction:
         """Root of R(x) = y at 1e-10 relative, by the bracketing solver of phcore."""
         scalar = y.ndim == 0
         y = np.atleast_1d(y).astype(float)
-        if np.any(y < 0):
-            raise DomainError("primitive values are nonnegative; cannot invert below 0")
+        if not np.all(y >= 0):
+            raise DomainError("primitive values are nonnegative; cannot invert below 0 or NaN")
         out = np.zeros_like(y)
         pos = y > 0.0
         if pos.any():

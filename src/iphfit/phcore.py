@@ -44,10 +44,8 @@ whose exit lies many steps away, get them.  Nothing under- or overflows:
 the log of a density far below the float range comes out finite.
 
 Quantiles, and the inverse primitives of ``iph``, come from one
-root-finder, ``_solve_increasing``: one geometric grid of four points per
-octave brackets every level at once, then Anderson-Bjorck regula falsi,
-with a bisection safeguard, refines only the brackets still open; a
-level costs about five evaluations.
+root-finder, ``_solve_increasing``, which describes its bracketing and
+refinement.
 
 Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
 count N drawn by inverse CDF on the survival rows pi P^n e from
@@ -60,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse import bsr_matrix
 from scipy.special import gammaln
 
@@ -138,7 +137,7 @@ _BLOCK_ENTRIES = 1 << 19
 # 0 lies above a survival row that sums below this
 _UNIFORM_STEP = 2.0 ** -53
 
-# root finding (_solve_increasing): bracketing grid points per octave, and
+# root finding (_solve_increasing): ladder points per octave, and
 # the false-position steps a bracket may take without halving before one
 # bisection step is forced
 _GRID_PER_OCTAVE = 4
@@ -282,21 +281,11 @@ def mixture_rep(weights, components) -> PHDist:
         raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
     if len(comps) == 1:
         return comps[0]
-    dims = [c.dim for c in comps]
-    p = int(np.sum(dims))
-    T = np.zeros((p, p))
-    pi = np.zeros(p)
-    exit_cat = np.zeros(p)
-    at = 0
-    for wi, c in zip(w, comps):
-        d = c.dim
-        T[at : at + d, at : at + d] = c.T
-        pi[at : at + d] = wi * c.pi
-        exit_cat[at : at + d] = c.exit
-        at += d
+    T = block_diag(*(c.T for c in comps))
+    pi = np.concatenate([wi * c.pi for wi, c in zip(w, comps)])
     if all(c.markov for c in comps):
         return ph_new(pi, T, markov=True)
-    return ph_new(pi, T, markov=False, exit=exit_cat)
+    return ph_new(pi, T, markov=False, exit=np.concatenate([c.exit for c in comps]))
 
 
 # ---------------------------------------------------------------------------
@@ -762,37 +751,41 @@ def _condition(base: PHDist, u: float, where: str) -> PHDist:
 def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: float = 1e-10):
     """Per-entry root of h(x) = c[i] for a nondecreasing, vectorised h on x > 0.
 
-    One lower and one upper bound for every entry come from halving and
-    doubling x0 (``fail`` is raised after 200 doublings, or if halving
-    reaches 0); h is then evaluated once on a geometric grid of
-    _GRID_PER_OCTAVE points per octave between them, which brackets every
-    entry.  Brackets are refined by Anderson-Bjorck regula falsi, each pass
+    This is the one monotone root-finder: quantiles (``_tail_points``) and
+    the inverse primitives of ``iph`` come from it.  Every entry is
+    bracketed on one geometric ladder 2^(k/_GRID_PER_OCTAVE) around x0: h
+    is evaluated on two octaves either side of x0 in one pass, and a side
+    whose end does not yet reach min(c) or max(c) gets as many octaves
+    again as it already spans in the next pass, so a level 2^m x0 away
+    costs about log2 m passes.  Nothing limits the ladder but the float
+    range, 2^-1074 to 2^(1024 - 1/_GRID_PER_OCTAVE); ``fail`` is raised
+    once a side that still falls short has reached its end.
+    Brackets are refined by Anderson-Bjorck regula falsi, each pass
     evaluating h only at the entries still open, with a bisection step
-    wherever a bracket has not halved within _STALL_STEPS steps.  An entry
-    is done once its bracket is within ``rel_tol`` of its upper end; the
-    midpoint is returned.  h(x) < c[i] is "below the root", so infinite
-    values of h are allowed.
+    wherever a bracket has not halved within _STALL_STEPS steps; a level
+    costs about five evaluations.  An entry is done once its bracket is
+    within ``rel_tol`` of its upper end; the midpoint is returned.
+    h(x) < c[i] is "below the root", so infinite values of h are allowed.
     """
     cmin, cmax = float(np.min(c)), float(np.max(c))
-    h0 = float(h(np.array([x0]))[0])
-    lo, h_lo = x0, h0
-    while not h_lo < cmin:
-        lo *= 0.5
-        if lo == 0.0:
-            raise fail
-        h_lo = float(h(np.array([lo]))[0])
-    hi, h_hi = x0, h0
-    for _ in range(200):
-        if h_hi >= cmax:
+    g = _GRID_PER_OCTAVE
+    k_min, k_max = -1074 * g, 1024 * g - 1  # 2^(k/g) is positive and finite
+    k0 = min(max(round(g * math.log2(x0)), k_min), k_max)
+    lo, hi = max(k0 - 2 * g, k_min), min(k0 + 2 * g, k_max)
+    hs = h(np.exp2(np.arange(lo, hi + 1) / g))
+    while True:
+        short_lo, short_hi = not hs[0] < cmin, not hs[-1] >= cmax
+        if not (short_lo or short_hi):
             break
-        hi *= 2.0
-        h_hi = float(h(np.array([hi]))[0])
-    else:
-        raise fail
-    n = max(2, math.ceil(_GRID_PER_OCTAVE * (math.log2(hi) - math.log2(lo))) + 1)
-    grid = np.geomspace(lo, hi, n)
-    hs = np.concatenate([[h_lo], h(grid[1:-1]), [h_hi]])
-    # first grid point at or above each target; hs may wobble by round-off
+        if (short_lo and lo == k_min) or (short_hi and hi == k_max):
+            raise fail
+        new_lo = max(2 * lo - k0, k_min) if short_lo else lo
+        new_hi = min(2 * hi - k0, k_max) if short_hi else hi
+        ext = h(np.exp2(np.r_[new_lo:lo, hi + 1 : new_hi + 1] / g))
+        hs = np.concatenate([ext[: lo - new_lo], hs, ext[lo - new_lo :]])
+        lo, hi = new_lo, new_hi
+    grid = np.exp2(np.arange(lo, hi + 1) / g)
+    # first ladder point at or above each target; hs may wobble by round-off
     i = np.searchsorted(np.maximum.accumulate(hs), c, side="left")
     a, b = grid[i - 1], grid[i]
     fa, fb = hs[i - 1] - c, hs[i] - c
@@ -869,11 +862,7 @@ def _tail_points(d: PHDist, lv: np.ndarray, upper: bool, rel_tol: float = 1e-10)
     log ph_cdf(x) = log c or -log ph_sf(x) = -log c, with c <= 1/2 the
     level of the tail solved on, so no level loses its digits to a
     complement (ph_cdf is only called where its level is below 1/2).  Each
-    tail goes through ``_solve_increasing`` at once: halving and doubling
-    from the mean give one lower and one upper bound, one geometric grid
-    of four points per octave between them brackets every level, and
-    Anderson-Bjorck regula falsi with a bisection safeguard refines the
-    open brackets, about five evaluations per level.
+    tail goes through ``_solve_increasing`` at once, from the mean.
     """
     small = lv < 0.5
     c = np.where(small, lv, 1.0 - lv)

@@ -270,6 +270,19 @@ def test_eval_quantile_levels_follow_the_map_direction(tmp_path, capsys, transfo
     assert "quantile level must be in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("query", ["pdf", "sf"])
+def test_eval_nan_point_is_a_config_error(tmp_path, capsys, query):
+    # a NaN point is a bad argument; the ends of the support still answer
+    path = tmp_path / "m.json"
+    save_model(tph_new(erlang_rep(2, 1.0), ParetoExp()), path)
+    ask = ["eval", "--params", str(path), "--query", query, "--at"]
+    assert main(ask + ["nan"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    for at, sf in (("inf", 0.0), ("-1", 1.0)):
+        assert main(ask + [at]) == EXIT_OK
+        assert float(capsys.readouterr().out) == (sf if query == "sf" else 0.0)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     data_path, _ = write_claims(tmp_path, n=120)
     out = tmp_path / "o"

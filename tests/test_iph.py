@@ -101,6 +101,23 @@ def test_quadrature_primitive_inverts_to_its_argument():
     assert r.inverse_at(float(r.primitive_at(4.2))) == pytest.approx(4.2, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solver_inverts_far_primitive_values():
+    # R(x) = sqrt(x) is given without its inverse, so the solver has to
+    # bracket roots up to 1e300, 997 octaves above its start at 1
+    r = rate_function(lambda t: 0.5 / np.sqrt(t), primitive=np.sqrt)
+    assert r.inverse_at(1e30) == pytest.approx(1e60, rel=1e-9, abs=0.0)
+    np.testing.assert_allclose(r.inverse_at(np.array([1e30, 1e150])), [1e60, 1e300], rtol=1e-9)
+
+
+def test_solver_inversion_rejects_nan():
+    r = rate_function(lambda t: 2.0 * t + 1.0, primitive=lambda x: x * x + x)
+    assert r.inverse_at(1.0) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-9)
+    for y in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError):
+            r.inverse_at(y)
+
+
 def test_builtin_rates_round_trip():
     for r in rate_suite():
         for x in (0.3, 1.0, 4.2):

@@ -495,6 +495,28 @@ def test_quantile_evaluates_few_points_per_level(law, monkeypatch):
     assert seen[0] <= 12 * n
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 4])
+def test_quantile_reaches_extreme_levels_in_few_passes(n, monkeypatch):
+    # Exp(1)'s 1e-300 quantile lies 997 octaves below its mean; the
+    # bracketing ladder doubles the octaves it spans on each pass, so it
+    # gets there in about log2(997) passes, not one per octave
+    q = 1e-300
+    passes = [0]
+    action = phcore._unif_action
+
+    def counting(pi, T, v, xs, log=False):
+        passes[0] += 1
+        return action(pi, T, v, xs, log)
+
+    monkeypatch.setattr(phcore, "_unif_action", counting)
+    x = ph_quantile(erlang_rep(n, 1.0), q)
+    assert passes[0] <= 20
+    assert gammainc(n, x) == pytest.approx(q, rel=1e-9, abs=0.0)
+    if n == 1:
+        assert x == pytest.approx(-math.log1p(-q), rel=1e-9, abs=0.0)
+
+
 def test_quantile_rejects_bad_levels():
     d = erlang_rep(1, 1.0)
     with pytest.raises(DomainError):
