@@ -17,8 +17,8 @@ u = g^{-1}(y):
     f_Y(y)   = pi e^{Tu} t |du/dy|
 
 With a one-phase base these are exactly the classical Pareto, Weibull,
-Gumbel and GEV laws; moment and transform formulas below evaluate the
-corresponding matrix expressions through the matrix-function kernel.
+Gumbel and GEV laws; the closed-form moments of the last three are
+fractional moments of the base law (``ph_frac_moment``).
 
 ParetoExp with ``beta=None`` uses beta = E(X), i.e. g(x) = e^x - 1: the
 log-PH case.  Mixtures sharing one transform stay inside the family:
@@ -39,13 +39,15 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .matfun import _incomplete_gamma, mat_fun, power_function
+from .matfun import _incomplete_gamma, mat_fun
 from .phcore import (
     PHDist,
     _condition,
+    _neg_power_form,
     _tail_points,
     mixture_rep,
     ph_cdf,
+    ph_frac_moment,
     ph_log_moment,
     ph_mean,
     ph_pdf,
@@ -454,23 +456,21 @@ def mp_shifted_frac_moment(d: TransformedPH, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 def mw_moment(d: TransformedPH, theta: float) -> float:
-    """E(Y^theta) = Gamma(1 + theta/beta) pi (-T)^{-theta/beta - 1} t."""
+    """E(Y^theta) = E(X^{theta/beta}), a fractional moment of the base."""
     _expect(d, Power, "mw_moment")
     theta = float(theta)
     if not (theta > 0):
         raise DomainError(f"moment order must be positive, got {theta}")
-    beta = d.transform.beta
-    M = mat_fun(-d.base.T, power_function(-theta / beta - 1.0))
-    return math.gamma(1.0 + theta / beta) * float(d.base.pi @ M @ d.base.exit)
+    return ph_frac_moment(d.base, theta / d.transform.beta)
 
 
 def mw_mgf(d: TransformedPH, theta: float, max_terms: int = 400) -> tuple[float, bool]:
     """Moment generating function as the power-moment series.
 
-    E e^{theta Y} = sum_n theta^n/n! Gamma(1+n/beta) pi (-T)^{-n/beta-1} t,
-    convergent for beta > 1.  Terms are accumulated until one falls below
-    1e-14 of the partial sum; hitting ``max_terms`` first raises, carrying
-    the last term magnitude.  Returns (value, converged).
+    E e^{theta Y} = sum_n theta^n/n! E(X^{n/beta}), convergent for beta > 1.
+    Terms are accumulated until one falls below 1e-14 of the partial sum;
+    hitting ``max_terms`` first raises, carrying the last term magnitude.
+    Returns (value, converged).
     """
     _expect(d, Power, "mw_mgf")
     beta = d.transform.beta
@@ -479,22 +479,15 @@ def mw_mgf(d: TransformedPH, theta: float, max_terms: int = 400) -> tuple[float,
     theta = float(theta)
     if not math.isfinite(theta):
         raise DomainError(f"moment generating function argument must be finite, got {theta}")
-    negT = -d.base.T
-    pi, t = d.base.pi, d.base.exit
-    total = 0.0
+    total = term = float(d.base.pi @ d.base.close)  # E(X^0)
     log_abs_theta = -math.inf if theta == 0.0 else math.log(abs(theta))
-    for n in range(max_terms):
-        if n == 0:
-            term = float(pi @ d.base.close)  # Gamma(1) * pi (-T)^{-1} t
-        else:
-            M = mat_fun(negT, power_function(-n / beta - 1.0))
-            mom = float(pi @ M @ t)
-            # theta^n / n! * Gamma(1+n/beta) in log form; n! overflows past 170
-            log_mag = n * log_abs_theta - math.lgamma(n + 1.0) + math.lgamma(1.0 + n / beta)
-            sign = -1.0 if (theta < 0 and n % 2 == 1) else 1.0
-            term = sign * math.exp(log_mag) * mom
+    for n in range(1, max_terms):
+        # theta^n / n! * Gamma(1+n/beta) in log form; n! overflows past 170
+        log_mag = n * log_abs_theta - math.lgamma(n + 1.0) + math.lgamma(1.0 + n / beta)
+        sign = -1.0 if (theta < 0 and n % 2 == 1) else 1.0
+        term = sign * math.exp(log_mag) * _neg_power_form(d.base, n / beta)
         total += term
-        if n >= 1 and abs(term) < 1e-14 * abs(total):
+        if abs(term) < 1e-14 * abs(total):
             return total, True
     raise NonConvergenceError(
         f"series did not converge in {max_terms} terms", last_term=abs(term)
@@ -513,7 +506,7 @@ def ep_mean(d: TransformedPH) -> float:
 
 
 def ep_laplace(d: TransformedPH, s: float) -> float:
-    """E e^{-sY} = e^{-mu s} Gamma(1 + s sigma) pi (-T)^{-s sigma} e."""
+    """E e^{-sY} = e^{-mu s} E(X^{s sigma}), a fractional moment of the base."""
     _expect(d, NegLogAffine, "ep_laplace")
     g = d.transform
     s = float(s)
@@ -523,10 +516,7 @@ def ep_laplace(d: TransformedPH, s: float) -> float:
         )
     if s == 0.0:
         return 1.0
-    M = mat_fun(-d.base.T, power_function(-s * g.sigma))
-    return math.exp(-g.mu * s) * math.gamma(1.0 + s * g.sigma) * float(
-        d.base.pi @ M @ d.base.close
-    )
+    return math.exp(-g.mu * s) * ph_frac_moment(d.base, s * g.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +524,12 @@ def ep_laplace(d: TransformedPH, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def sp_mean(d: TransformedPH) -> float:
-    """E(Y) = mu + (sigma/xi)(Gamma(1-xi) pi (-T)^{xi} e - 1), finite for xi < 1."""
+    """E(Y) = mu + (sigma/xi)(E(X^{-xi}) - 1), finite for xi < 1."""
     _expect(d, ShiftedPower, "sp_mean")
     g = d.transform
     if g.xi >= 1.0:
         raise DivergentMomentError(f"mean is infinite for xi >= 1, got xi = {g.xi}")
-    M = mat_fun(-d.base.T, power_function(g.xi))
-    val = math.gamma(1.0 - g.xi) * float(d.base.pi @ M @ d.base.close)
-    return g.mu + g.sigma / g.xi * (val - 1.0)
+    return g.mu + g.sigma / g.xi * (ph_frac_moment(d.base, -g.xi) - 1.0)
 
 
 # ---------------------------------------------------------------------------

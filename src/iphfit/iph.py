@@ -112,13 +112,14 @@ class RateFunction:
         return self._invert(y)
 
     def _invert(self, y):
-        """Root of R(x) = y at 1e-10 relative, by the bracketing solver of phcore."""
+        """Root of R(x) = y at 1e-10 relative, by the bracketing solver of
+        phcore; R^{-1}(0) = 0 and R^{-1}(inf) = inf."""
         scalar = y.ndim == 0
         y = np.atleast_1d(y).astype(float)
         if not np.all(y >= 0):
             raise DomainError("primitive values are nonnegative; cannot invert below 0 or NaN")
-        out = np.zeros_like(y)
-        pos = y > 0.0
+        out = np.where(y == np.inf, y, 0.0)
+        pos = (y > 0.0) & (y < np.inf)
         if pos.any():
             out[pos] = _solve_increasing(
                 self.primitive_at,

@@ -219,7 +219,7 @@ def upper_gamma_function(s: float) -> AnalyticFunction:
     relative tolerance alone; e^{-s} s^z is applied afterwards as one
     exponential, so neither factor over- or underflows on its own.
     """
-    if s <= 0:
+    if not (s > 0):
         raise DomainError(f"upper incomplete gamma requires s > 0, got {s}")
     return _incomplete_gamma(s, scaled=False)
 
@@ -401,6 +401,4 @@ def upper_inc_gamma_mat(A, s: float) -> np.ndarray:
     and quadrature derivatives; repeated eigenvalues (Erlang blocks with
     maximal multiplicity) therefore go through the confluent Taylor path.
     """
-    if not (s > 0):
-        raise DomainError(f"upper incomplete gamma requires s > 0, got {s}")
-    return mat_fun(check_square(A), upper_gamma_function(s))
+    return mat_fun(A, upper_gamma_function(s))

@@ -49,7 +49,7 @@ refinement.
 
 Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
 count N drawn by inverse CDF on the survival rows pi P^n e from
-``_unif_rows`` (see ``ph_sample``), so no jump chain is walked.
+``_nonneg_powers`` (see ``ph_sample``), so no jump chain is walked.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class PHDist:
 def _check_start(pi, p: int, markov: bool = True) -> np.ndarray:
     """A start vector of length p as floats.
 
-    A Markov start may not have negative entries; round-off below zero
-    (down to -1e-15) is clamped to 0.  The sum is the caller's to check.
+    A Markov start may not have negative entries, and sums to one within
+    1e-12; round-off below zero (down to -1e-15) is clamped to 0.
     """
     pi = np.atleast_1d(np.asarray(pi, dtype=float))
     if pi.ndim != 1:
@@ -184,6 +184,9 @@ def _check_start(pi, p: int, markov: bool = True) -> np.ndarray:
             i = int(np.argmin(pi))
             raise ValidationError(f"pi[{i}] = {pi[i]} is negative")
         pi = np.maximum(pi, 0.0)
+        total = pi.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"pi sums to {total}, not 1 (atom at zero not supported)")
     return pi
 
 
@@ -208,9 +211,6 @@ def ph_new(pi, T, markov: bool = True, exit=None) -> PHDist:
         T = check_sub_intensity(T)
         p = T.shape[0]
         pi = _check_start(pi, p)
-        total = pi.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"pi sums to {total}, not 1 (atom at zero not supported)")
         t = -T.sum(axis=1)
         t = np.maximum(t, 0.0)  # round-off from row sums
         return PHDist(pi, T, t, True, np.ones(p))
@@ -326,33 +326,24 @@ def _unif_rate(T: np.ndarray) -> float:
     return 1.0000001 * -float(T.diagonal().min())
 
 
-def _unif_rows(pi: np.ndarray, P: np.ndarray, n: int, vanished: float = 0.0) -> np.ndarray:
-    """Rows pi P^k for k = 0, 1, ..., by doubling (O(log n) matrix products).
-
-    Returns at least n + 1 rows, or fewer once a row sums below
-    ``vanished``; every product is of nonnegative matrices.
-    """
-    R, Pk = pi[None, :], P
-    while R.shape[0] <= n and R[-1].sum() >= vanished:
-        R = np.vstack([R, R @ Pk])
-        Pk = Pk @ Pk
-    return R
-
-
-def _nonneg_powers(X: np.ndarray, K: int) -> np.ndarray:
-    """X^0, ..., X^K stacked, by doubling: about log2 K products, each of
-    the powers so far, stacked as rows, with the next square."""
+def _nonneg_powers(X: np.ndarray, K: int, R0=None, vanished: float = 0.0) -> np.ndarray:
+    """R0 X^0, ..., R0 X^K stacked, by doubling: about log2 K products, each
+    of the blocks so far, stacked as rows, with the next square.  R0 is the
+    identity by default; for a nonnegative X and R0 the stack ends early,
+    after the doubling whose last block sums below ``vanished``."""
     n = X.shape[0]
-    out = np.empty((K + 1, n, n))
-    out[0] = np.eye(n)
+    R0 = np.eye(n) if R0 is None else R0
+    r = R0.shape[0]
+    out = np.empty((K + 1, r, n))
+    out[0] = R0
     rows = out.reshape(-1, n)
     have, Xh = 1, X
     while True:
         take = min(have, K + 1 - have)
-        np.matmul(rows[: take * n], Xh, out=rows[have * n : (have + take) * n])
+        np.matmul(rows[: take * r], Xh, out=rows[have * r : (have + take) * r])
         have += take
-        if have > K:
-            return out
+        if have > K or out[have - 1].sum() < vanished:
+            return out[:have]
         Xh = Xh @ Xh
 
 
@@ -712,8 +703,12 @@ def ph_frac_moment(d: PHDist, theta: float) -> float:
     """
     if not (theta > -1):
         raise DomainError(f"fractional moment requires theta > -1, got {theta}")
-    M = mat_fun(-d.T, power_function(-theta))
-    return math.gamma(1.0 + theta) * float(d.pi @ M @ d.close)
+    return math.gamma(1.0 + theta) * _neg_power_form(d, theta)
+
+
+def _neg_power_form(d: PHDist, theta: float) -> float:
+    """pi (-T)^{-theta} e, the closing vector in e's place: E(X^theta) / Gamma(1 + theta)."""
+    return float(d.pi @ mat_fun(-d.T, power_function(-theta)) @ d.close)
 
 
 def ph_log_moment(d: PHDist) -> float:
@@ -764,9 +759,15 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
     evaluating h only at the entries still open, with a bisection step
     wherever a bracket has not halved within _STALL_STEPS steps; a level
     costs about five evaluations.  An entry is done once its bracket is
-    within ``rel_tol`` of its upper end; the midpoint is returned.
+    within ``rel_tol`` (at least 2^-52, the widest relative gap between
+    floats) of its upper end, or its ends are adjacent subnormals; the
+    midpoint is returned.  The loop's one exit is when all are done: a
+    bracket halves at least every _STALL_STEPS + 1 passes (by bisection;
+    one more where a midpoint rounds), and from a ladder bracket, < 0.16
+    of its upper end wide, 31 halvings reach 1e-10, so 124 passes.
     h(x) < c[i] is "below the root", so infinite values of h are allowed.
     """
+    rel_tol = max(rel_tol, 2.0 ** -52)
     cmin, cmax = float(np.min(c)), float(np.max(c))
     g = _GRID_PER_OCTAVE
     k_min, k_max = -1074 * g, 1024 * g - 1  # 2^(k/g) is positive and finite
@@ -795,8 +796,8 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
     side = np.zeros(c.size, dtype=np.int64)  # end the last point replaced: -1 a, 1 b
     ref = b - a  # width when the bracket last halved
     age = np.zeros(c.size, dtype=np.int64)  # steps since then
-    for _ in range(200):
-        done = b - a <= rel_tol * b
+    while True:
+        done = b - a <= rel_tol * b + 2.0 ** -1074
         if done.any():
             out[idx[done]] = 0.5 * (a[done] + b[done])
             keep = ~done
@@ -830,8 +831,6 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
         halved = width <= 0.5 * ref
         ref = np.where(halved, width, ref)
         age = np.where(halved, 0, age + 1)
-    out[idx] = 0.5 * (a + b)
-    return out
 
 
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
@@ -894,7 +893,7 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     With q = _unif_rate(T) and P = I + T / q, X is Gamma(N, rate q), where
     the number N >= 1 of uniformized steps up to absorption has
     P(N > n) = S_n = pi P^n e.  The rows S_0, ..., S_M come from
-    ``_unif_rows``: the table ends at the first row below 2^-53, the
+    ``_nonneg_powers``: the table ends at the first row below 2^-53, the
     spacing of the uniforms, or at its cap, the largest power of two of
     rows whose p columns fit _BLOCK_ENTRIES, whichever comes first.  One
     ``searchsorted`` draws N = max(1, #{n : S_n > U}) for uniforms U, and
@@ -918,9 +917,9 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     p = d.dim
     q = _unif_rate(d.T)
     P = np.eye(p) + d.T / q
-    # a power of two, so the doubling in _unif_rows stops exactly there
+    # a power of two, so the doubling stops exactly there
     cap = 1 << ((_BLOCK_ENTRIES // p).bit_length() - 1)
-    R = _unif_rows(d.pi, P, cap - 1, _UNIFORM_STEP)
+    R = _nonneg_powers(P, cap - 1, d.pi[None, :], _UNIFORM_STEP)[:, 0]
     x = todo = None  # the draws, and the indices of those still going
     while True:
         S = np.minimum.accumulate(R.sum(axis=1))

@@ -21,8 +21,17 @@ from iphfit.cli import (
     run_fit,
 )
 from iphfit.errors import ConfigError, DataFileError
-from iphfit.families import NegLogAffine, ParetoExp, ShiftedPower, tph_new
-from iphfit.modelio import save_model
+from iphfit.families import (
+    FAMILIES,
+    NegLogAffine,
+    ParetoExp,
+    Power,
+    ShiftedPower,
+    ShiftedTransform,
+    tph_new,
+    tph_sample,
+)
+from iphfit.modelio import load_model, save_model
 from iphfit.phcore import erlang_rep
 
 
@@ -301,6 +310,55 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["fit", "--input", str(bad), "--transform", "pareto",
                  "--out-dir", str(out)]) == EXIT_DATA
     capsys.readouterr()
+
+
+FIT_FILES = ("params.json", "loglik.csv", "density.csv", "qq.csv", "hist_transformed.csv")
+
+
+@pytest.mark.parametrize("family, transform, flags", [
+    ("weibull", Power(2.0), ["--beta", "2"]),
+    ("gumbel", NegLogAffine(10.0, 1.0), ["--mu", "10", "--sigma", "1"]),
+    ("gev", ShiftedPower(3.0, 1.0, 0.5), ["--mu", "3", "--sigma", "1", "--xi", "0.5"]),
+], ids=["weibull", "gumbel", "gev"])
+def test_fit_end_to_end_for_each_family(tmp_path, capsys, family, transform, flags):
+    # draws from the family itself, all positive (mu keeps the Gumbel and
+    # GEV draws above 0); --shift auto works from the minimum g^{-1}(y)
+    ys = tph_sample(tph_new(erlang_rep(2, 1.5), transform), np.random.default_rng(8), 200)
+    assert np.all(ys > 0)
+    data = tmp_path / "d.csv"
+    data.write_text(_csv_text(ys))
+    out = tmp_path / "out"
+    rc = main(["fit", "--input", str(data), "--transform", family, "--shift", "auto",
+               "--phases", "2", "--seed", "4", "--max-iters", "20",
+               "--out-dir", str(out)] + flags)
+    assert rc == EXIT_OK, capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(FIT_FILES)
+    assert json.loads((out / "params.json").read_text())["transform"]["family"] == family
+    tr = load_model(out / "params.json").transform
+    inner = tr.inner if isinstance(tr, ShiftedTransform) else tr
+    assert type(inner) is FAMILIES[family] and inner == transform
+
+
+def test_fit_weibull_needs_beta(tmp_path, capsys):
+    data_path, _ = write_claims(tmp_path, n=50)
+    rc = main(["fit", "--input", str(data_path), "--header-rows", "1",
+               "--transform", "weibull", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "weibull requires --beta" in capsys.readouterr().err
+
+
+def test_fit_gev_datum_outside_the_support_is_a_data_error(tmp_path, capsys):
+    # GEV(mu 3, sigma 1, xi 1/2) lives above mu - sigma/xi = 1; 0.5 is positive
+    # but outside it, so --shift auto has no g^{-1}(0.5) to work from
+    data = tmp_path / "d.csv"
+    data.write_text("2.0\n3.5\n0.5\n4.0\n")
+    out = tmp_path / "o"
+    rc = main(["fit", "--input", str(data), "--transform", "gev", "--mu", "3",
+               "--sigma", "1", "--xi", "0.5", "--out-dir", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "outside the transform's support at indices [2]" in err
+    assert not out.exists()
 
 
 def test_main_sample_deterministic(tmp_path, capsys):

@@ -566,9 +566,12 @@ def test_mw_mgf_series():
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_mw_mgf_rejects_a_non_finite_argument_before_the_series(theta, monkeypatch):
     import iphfit.families as families
+    import iphfit.phcore as phcore
 
+    # the series' terms are base moments, evaluated in phcore
     calls = []
-    monkeypatch.setattr(families, "mat_fun", lambda *a: calls.append(a))
+    for module in (families, phcore):
+        monkeypatch.setattr(module, "mat_fun", lambda *a: calls.append(a))
     d = tph_new(erlang_rep(2, 1.5), Power(2.0))
     with pytest.raises(DomainError):
         mw_mgf(d, theta)

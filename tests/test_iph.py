@@ -110,6 +110,15 @@ def test_solver_inverts_far_primitive_values():
     np.testing.assert_allclose(r.inverse_at(np.array([1e30, 1e150])), [1e60, 1e300], rtol=1e-9)
 
 
+def test_solver_inversion_sends_infinity_to_infinity():
+    # as the closed-form inverses do: R(x) = sqrt(x) passes every bound
+    r = rate_function(lambda t: 0.5 / np.sqrt(t), primitive=np.sqrt)
+    assert power_rate(0.5).inverse_at(math.inf) == math.inf
+    assert r.inverse_at(math.inf) == math.inf
+    got = r.inverse_at(np.array([1.0, math.inf]))
+    assert got[0] == pytest.approx(1.0, rel=1e-9) and got[1] == math.inf
+
+
 def test_solver_inversion_rejects_nan():
     r = rate_function(lambda t: 2.0 * t + 1.0, primitive=lambda x: x * x + x)
     assert r.inverse_at(1.0) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-9)
@@ -498,7 +507,8 @@ def test_piecewise_path_rejects_mixed_orders():
 
 @pytest.mark.parametrize(
     "pi, message",
-    [([1.0], "pi has length 1 but T is 2x2"), ([1.2, -0.2], r"pi\[1\] = -0.2 is negative")],
+    [([1.0], "pi has length 1 but T is 2x2"), ([1.2, -0.2], r"pi\[1\] = -0.2 is negative"),
+     ([0.5, 0.2], "pi sums to 0.7, not 1"), ([0.7, 0.5], "pi sums to 1.2, not 1")],
 )
 def test_general_sf_and_thinning_check_the_start_vector(pi, message):
     base = erlang_rep(2, 1.5)

@@ -226,6 +226,12 @@ def test_upper_inc_gamma_rejects_bad_s():
     A = np.array([[1.0]])
     with pytest.raises(DomainError):
         upper_inc_gamma_mat(A, 0.0)
+    # s is checked first, then the matrix
+    for s in (-1.0, math.nan):
+        with pytest.raises(DomainError, match=f"requires s > 0, got {s}"):
+            upper_inc_gamma_mat(np.ones((2, 3)), s)
+    with pytest.raises(ValidationError, match="expected a square matrix"):
+        upper_inc_gamma_mat(np.ones((2, 3)), 1.0)
 
 
 def test_check_sub_intensity_names_the_violation():

@@ -348,6 +348,25 @@ def test_mixture_density_is_weighted_sum():
         mixture_rep([0.6, 0.6], comps[:2])
 
 
+def test_me_mixture_density_is_weighted_sum():
+    # an ME component makes the mixture ME, closed by its components' exits
+    comps = [me_example(), gen_erlang_rep([1.0, 2.5])]
+    w = [0.4, 0.6]
+    mix = mixture_rep(w, comps)
+    assert not mix.markov
+    xs = np.linspace(0.0, 10.0, 200)
+    for f in (ph_pdf, ph_sf):
+        want = sum(wi * f(c, xs) for wi, c in zip(w, comps))
+        assert np.max(np.abs(f(mix, xs) - want)) < 1e-12
+
+
+def test_me_cdf_is_the_complement_of_its_survival():
+    d = me_example()
+    xs = np.linspace(0.0, 10.0, 101)
+    np.testing.assert_allclose(ph_cdf(d, xs) + ph_sf(d, xs), 1.0, rtol=0.0, atol=2.0**-52)
+    assert isinstance(ph_cdf(d, 1.3), float)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -515,6 +534,25 @@ def test_quantile_reaches_extreme_levels_in_few_passes(n, monkeypatch):
     assert gammainc(n, x) == pytest.approx(q, rel=1e-9, abs=0.0)
     if n == 1:
         assert x == pytest.approx(-math.log1p(-q), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("q, rel_tol", [(1e-320, 1e-10), (0.5, 1e-17), (0.5, 0.0)])
+def test_quantile_stops_at_a_bracket_no_float_can_split(q, rel_tol, monkeypatch):
+    # a root among the subnormals, or a tolerance below the float spacing,
+    # leaves a bracket of two adjacent floats, which no step can narrow;
+    # the solve ends there (37 and 4 passes), not after 200 idle ones
+    passes = [0]
+    action = phcore._unif_action
+
+    def counting(*args, **kwargs):
+        passes[0] += 1
+        if passes[0] > 60:
+            raise AssertionError("the quantile solve did not stop")
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(phcore, "_unif_action", counting)
+    x = ph_quantile(erlang_rep(1, 1.0), q, rel_tol=rel_tol)
+    assert x == pytest.approx(-math.log1p(-q), rel=2.0**-52, abs=2.0**-1074)
 
 
 def test_quantile_rejects_bad_levels():
