@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -35,7 +34,7 @@ from .errors import (
     NonConvergenceError,
     ValidationError,
 )
-from .matfun import check_square, check_sub_intensity, mat_exp, mat_fun
+from .matfun import _quad, check_square, check_sub_intensity, mat_exp, mat_fun
 from .phcore import (
     PHDist,
     _check_points,
@@ -80,10 +79,10 @@ __all__ = [
 class RateFunction:
     """A positive intensity t -> rate(t) on [0, inf) with its primitive.
 
-    ``primitive`` is R(x) = int_0^x rate(t) dt; when no closed form is
-    supplied an adaptive-quadrature fallback is used.  ``inverse_primitive``
-    is the transform g = R^{-1} when known; otherwise inversion falls back
-    to ``phcore._solve_increasing`` at 1e-10 relative tolerance.
+    ``primitive`` is R(x) = int_0^x rate(t) dt; without a closed form, each
+    R(x) is ``matfun._quad`` of the rate, to 1e-12 relative or an
+    IntegrationError.  ``inverse_primitive`` is the transform g = R^{-1} when
+    known; otherwise ``phcore._solve_increasing`` inverts at 1e-10 relative.
     Build through :func:`rate_function`, which validates positivity on a
     log-spaced grid.
     Callables must be side-effect-free; vectorized evaluation assumes it.
@@ -102,7 +101,7 @@ class RateFunction:
         if self.primitive is not None:
             return np.asarray(self.primitive(x), dtype=float)
         flat = np.atleast_1d(x)
-        vals = np.array([quad(self.rate, 0.0, xi, limit=200)[0] for xi in flat])
+        vals = np.array([_quad(self.rate, 0.0, xi) for xi in flat])
         return vals.reshape(x.shape) if x.ndim else float(vals[0])
 
     def inverse_at(self, y):

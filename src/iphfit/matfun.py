@@ -34,6 +34,7 @@ from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .errors import (
     DomainError,
+    IntegrationError,
     NonConvergenceError,
     SingularMatrixError,
     ValidationError,
@@ -62,6 +63,7 @@ MAX_DIM = 128
 # when no derivative oracle is supplied.
 CLUSTER_RTOL = 1e-7
 FD_STEP = 1e-6
+QUAD_RTOL = 1e-12  # every adaptive quadrature's, with no absolute floor
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +197,18 @@ def power_function(a: float) -> AnalyticFunction:
     return AnalyticFunction(fun, deriv, name=f"z**{a}")
 
 
-def complex_quad(fun, a, b, **kwargs):
-    """Adaptive quadrature of a complex-valued integrand on a real interval."""
-    opts = {"limit": 200, "epsabs": 1e-13, "epsrel": 1e-11}
-    opts.update(kwargs)
-    re, _ = quad(lambda t: fun(t).real, a, b, **opts)
-    im, _ = quad(lambda t: fun(t).imag, a, b, **opts)
-    if im == 0.0:
-        return re
-    return re + 1j * im
+def _quad(fun, a, b, limit=200):
+    """int_a^b fun to QUAD_RTOL relative, or an IntegrationError where quad falls short."""
+    val, err, _, *msg = quad(fun, a, b, limit=limit, epsabs=0.0, epsrel=QUAD_RTOL, full_output=1)
+    if msg:
+        raise IntegrationError("quad: " + " ".join(msg[0].split(".")[0].split()), achieved=err)
+    return val
+
+
+def complex_quad(fun, a, b):
+    """int_a^b of a complex-valued integrand, each part by :func:`_quad`."""
+    re, im = _quad(lambda t: fun(t).real, a, b), _quad(lambda t: fun(t).imag, a, b)
+    return re if im == 0.0 else re + 1j * im
 
 
 def upper_gamma_function(s: float) -> AnalyticFunction:
@@ -253,7 +258,7 @@ def _incomplete_gamma(s: float, scaled: bool) -> AnalyticFunction:
         def integrand(x):
             return (shift + x) ** k * cmath.exp(z * x - s * math.expm1(x))
 
-        val = complex_quad(integrand, 0.0, top, epsabs=0.0, epsrel=1e-12)
+        val = complex_quad(integrand, 0.0, top)
         return val if scaled else np.exp(z * log_s - s) * val
 
     name = f"{'scaled_' if scaled else ''}upper_gamma(., {s})"
@@ -314,8 +319,6 @@ def _taylor_atom(Tblk: np.ndarray, h: AnalyticFunction) -> np.ndarray:
     """
     m = Tblk.shape[0]
     sigma = complex(np.mean(np.diag(Tblk)))
-    if m == 1:
-        return np.array([[h(sigma)]], dtype=complex)
     M = Tblk - sigma * np.eye(m)
     F = h(sigma) * np.eye(m, dtype=complex)
     P = np.eye(m, dtype=complex)
@@ -354,11 +357,7 @@ def mat_fun(A, h: AnalyticFunction) -> np.ndarray:
     if not isinstance(h, AnalyticFunction):
         h = AnalyticFunction(h)
     n = A.shape[0]
-    if n == 1:
-        return np.array([[complex(h(A[0, 0])).real]])
     nrm = np.linalg.norm(A, 2)
-    if nrm == 0.0:
-        return np.eye(n) * complex(h(0.0)).real
     T, Q = sla.schur(A.astype(complex), output="complex")
 
     eigs = np.diag(T)

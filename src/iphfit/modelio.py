@@ -29,7 +29,6 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergentMomentError, ModelDocumentError, ValidationError
 from .families import (
@@ -46,6 +45,7 @@ from .families import (
     sp_mean,
     tph_new,
 )
+from .matfun import _quad
 from .phcore import ph_new, ph_pdf
 
 __all__ = [
@@ -214,7 +214,8 @@ def load_model(path) -> TransformedPH:
 # ---------------------------------------------------------------------------
 
 def model_mean(model: TransformedPH) -> float:
-    """E(Y) of the composed model; +inf when the mean diverges."""
+    """E(Y) of the composed model; +inf when the mean diverges.  A shifted non-Pareto
+    law has no closed form: its mean is ``matfun._quad`` of g(u) f(u) over [0, x_cap]."""
     tr = model.transform
     shift = 0.0
     inner = tr
@@ -236,10 +237,5 @@ def model_mean(model: TransformedPH) -> float:
             return ep_mean(model)
         if isinstance(inner, ShiftedPower):
             return sp_mean(model)
-    val, _ = quad(
-        lambda u: float(tr.from_x(u, model.mu)) * ph_pdf(base, u),
-        0.0,
-        model.x_cap,
-        limit=400,
-    )
-    return float(val)
+    return _quad(lambda u: float(tr.from_x(u, model.mu)) * ph_pdf(base, u),
+                 0.0, model.x_cap, limit=400)

@@ -137,6 +137,10 @@ _BLOCK_ENTRIES = 1 << 19
 # 0 lies above a survival row that sums below this
 _UNIFORM_STEP = 2.0 ** -53
 
+# ph_sample's first table: rows per expected step q E X; the probe laws' survival
+# rows fell below 2^-53 after about 28 q E X (128 rows at q E X = 4.6, 512 at 13)
+_SAMPLE_ROWS = 64
+
 # root finding (_solve_increasing): ladder points per octave, and
 # the false-position steps a bracket may take without halving before one
 # bisection step is forced
@@ -279,8 +283,6 @@ def mixture_rep(weights, components) -> PHDist:
         raise ValidationError("mixture weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValidationError(f"mixture weights sum to {w.sum()}, not 1")
-    if len(comps) == 1:
-        return comps[0]
     T = block_diag(*(c.T for c in comps))
     pi = np.concatenate([wi * c.pi for wi, c in zip(w, comps)])
     if all(c.markov for c in comps):
@@ -427,9 +429,7 @@ def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
                 A, log_c = A / big, log_c + math.log(big)
         if j >= s:
             out.append((A, log_c))
-        if j + 1 == s + J:
-            return out
-        if log_c == 0.0 and j + 4 - j % 4 < s + J:  # a later reset reads d
+        if log_c == 0.0:  # a later reset reads d
             d = d + A @ d
         A, log_c = A @ A, 2.0 * log_c
     return out
@@ -892,21 +892,22 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
 
     With q = _unif_rate(T) and P = I + T / q, X is Gamma(N, rate q), where
     the number N >= 1 of uniformized steps up to absorption has
-    P(N > n) = S_n = pi P^n e.  The rows S_0, ..., S_M come from
-    ``_nonneg_powers``: the table ends at the first row below 2^-53, the
-    spacing of the uniforms, or at its cap, the largest power of two of
-    rows whose p columns fit _BLOCK_ENTRIES, whichever comes first.  One
-    ``searchsorted`` draws N = max(1, #{n : S_n > U}) for uniforms U, and
-    one ``gamma`` call draws X.
+    P(N > n) = S_n = pi P^n e.  Each table of rows S_0, ..., S_M is
+    ``_nonneg_powers`` from its start row, and ends at the first row below
+    2^-53, the spacing of the uniforms, or at its row count.  The first
+    starts from pi with the power of two at or above _SAMPLE_ROWS q E X
+    rows, at most the cap (the largest power of two of rows whose p columns
+    fit _BLOCK_ENTRIES).  One ``searchsorted`` draws N = max(1, #{n : S_n > U})
+    for uniforms U, and one ``gamma`` call draws X.
 
     Row rule: a draw continues past the table exactly when its U lies
-    below S_M: a U of 0, or, in a table ended by its cap (stiff laws),
-    any U below S_M.  Such a draw takes Gamma(M, rate q) for its first M
-    steps and draws the rest the same way from the next table, the rows
-    pi P^(M+n) e / S_M of its law given N > M, and so on.  Each table
-    costs one product with P^M, however many jumps its steps stand for.
-    The draws are exact for every Markov law; memory is two tables (at
-    most 2 * _BLOCK_ENTRIES floats) plus O(count).
+    below S_M: a U of 0, or, in a table ended by its row count (stiff
+    laws), any U below S_M.  Such a draw takes Gamma(M, rate q) for its
+    first M steps and draws the rest the same way from the next table: it
+    starts from pi P^M scaled to sum to one (the law given N > M), with
+    twice the rows up to the cap, and so on.  The draws are exact for every
+    Markov law; memory is O(count) plus two tables, the first of fewer than
+    2 _SAMPLE_ROWS q E X rows and none past _BLOCK_ENTRIES floats.
     """
     if not d.markov:
         raise UnsupportedRepresentationError(
@@ -919,9 +920,11 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     P = np.eye(p) + d.T / q
     # a power of two, so the doubling stops exactly there
     cap = 1 << ((_BLOCK_ENTRIES // p).bit_length() - 1)
-    R = _nonneg_powers(P, cap - 1, d.pi[None, :], _UNIFORM_STEP)[:, 0]
+    rows = 1 << (math.ceil(min(_SAMPLE_ROWS * q * ph_mean(d), cap)) - 1).bit_length()
+    start = d.pi[None, :]
     x = todo = None  # the draws, and the indices of those still going
     while True:
+        R = _nonneg_powers(P, rows - 1, start, _UNIFORM_STEP)[:, 0]
         S = np.minimum.accumulate(R.sum(axis=1))
         small = np.flatnonzero(S < _UNIFORM_STEP)
         M = int(small[0]) if small.size else S.size - 1
@@ -940,5 +943,5 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
             todo = todo[cont]
         if not todo.size:
             return x
-        R = R @ np.linalg.matrix_power(P, M)
-        R /= R[0].sum()
+        start = R[M : M + 1] / R[M].sum()
+        rows = min(2 * rows, cap)

@@ -127,6 +127,27 @@ def test_solver_inversion_rejects_nan():
             r.inverse_at(y)
 
 
+def test_quadrature_primitive_keeps_small_values_to_relative_tolerance():
+    # R(x) = x^1.7 from its rate alone: each R(x) meets a relative
+    # tolerance with no absolute floor, so small values keep their digits
+    r = rate_function(lambda t: 1.7 * t**0.7, name="power-by-quadrature")
+    for x in (1e-6, 1e-3):
+        assert r.primitive_at(x) == pytest.approx(x**1.7, rel=1e-12, abs=0.0)
+    from iphfit import iph_cdf
+
+    base = erlang_rep(2, 1.0)
+    want = iph_cdf(iph_new(base, power_rate(1.7)), 1e-3)
+    assert iph_cdf(iph_new(base, r), 1e-3) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_quadrature_primitive_that_falls_short_is_an_error():
+    # 2 + sin t over [0, 1e5] needs more than the 200 subdivisions allowed
+    r = rate_function(lambda t: 2.0 + np.sin(t), name="oscillating")
+    with pytest.raises(IntegrationError, match="subdivisions") as info:
+        r.primitive_at(1e5)
+    assert info.value.achieved > 0.0
+
+
 def test_builtin_rates_round_trip():
     for r in rate_suite():
         for x in (0.3, 1.0, 4.2):

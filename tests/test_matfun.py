@@ -19,6 +19,7 @@ from iphfit.matfun import (
     mat_log_neg,
     mat_power_base,
     power_function,
+    upper_gamma_function,
     upper_inc_gamma_mat,
 )
 from iphfit.phcore import erlang_rep, gen_erlang_rep
@@ -94,6 +95,15 @@ def test_mat_fun_identity_is_exact():
     ident = AnalyticFunction(lambda z: z, lambda z, k: 1.0 if k == 1 else 0.0, name="id")
     got = mat_fun(A, ident)
     assert np.max(np.abs(got - A)) < 1e-13 * max(1.0, np.max(np.abs(A)))
+    # a 1x1 matrix and the zero matrix are each one cluster of the general
+    # path: h(a), and h(0) I
+    for h in (exp_function(), power_function(0.5), upper_gamma_function(1.3)):
+        for a in (0.7, 2.5):
+            want = complex(h(a)).real
+            assert mat_fun([[a]], h)[0, 0] == pytest.approx(want, rel=1e-15, abs=0.0)
+        for n in (1, 3):
+            want = complex(h(0.0)).real * np.eye(n)
+            np.testing.assert_allclose(mat_fun(np.zeros((n, n)), h), want, rtol=1e-15, atol=0.0)
 
 
 def test_mat_fun_exp_matches_contour_oracle():

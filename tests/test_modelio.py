@@ -190,6 +190,19 @@ def test_model_mean_shifted_laws_by_quadrature():
     assert model_mean(g) == pytest.approx(float(want), rel=1e-10)
 
 
+def test_model_mean_of_a_shifted_gev_law_by_quadrature():
+    # Y = 2((U + s)^(-1/2) - 1) with U ~ Erlang(2, 1), so with t = u + s
+    # E Y = 2(e^s (Gamma(3/2, s) - s Gamma(1/2, s)) - 1)
+    import mpmath
+
+    s = 1e-8
+    d = tph_new(erlang_rep(2, 1.0), ShiftedTransform(ShiftedPower(0.0, 1.0, 0.5), s))
+    with mpmath.workdps(30):
+        want = 2 * (mpmath.exp(s) * (mpmath.gammainc(1.5, s) - s * mpmath.gammainc(0.5, s)) - 1)
+    assert float(want) == pytest.approx(-0.22754616681635608, rel=1e-15)
+    assert abs(model_mean(d) - float(want)) <= 1e-11
+
+
 def test_model_to_doc_shift_unwrapping():
     d = tph_new(erlang_rep(1, 1.0), ShiftedTransform(Power(2.0), 0.7))
     doc = model_to_doc(d)

@@ -661,6 +661,39 @@ def test_sample_heap_peak_is_bounded_on_a_stiff_law():
     assert draws.shape == (10**5,) and np.all(draws > 0)
 
 
+def test_sample_heap_peak_is_small_on_a_law_that_ends_early():
+    # q E X = 4.6 on the benchmark's 5-phase law: its first table holds 512
+    # rows, and the survival rows fall below 2^-53 by row 128
+    d = QUANTILE_LAWS["bench5"]()
+    tracemalloc.start()
+    try:
+        draws = ph_sample(d, np.random.default_rng(3), 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+    assert draws.shape == (100,) and np.all(draws > 0)
+
+
+@pytest.mark.parametrize("law", ["bench5", "erlang"])
+def test_sample_through_short_tables(monkeypatch, law):
+    # one row per expected uniformized step: the 5-phase law's draws go on
+    # through three tables of 8, 16 and 32 rows, and Erlang(3, 2)'s 4-row
+    # table ends at its row count, not below 2^-53
+    monkeypatch.setattr(phcore, "_SAMPLE_ROWS", 1)
+    d = QUANTILE_LAWS[law]()
+    n = 50000
+    rng = _RecordingRng(17)
+    draws = ph_sample(d, rng, n)
+    if law == "bench5":
+        assert len(rng.sizes) >= 3
+    assert draws.shape == (n,) and np.all(draws > 0)
+    assert ks_distance(draws, lambda x: ph_cdf(d, x)) < ks_critical(n, 0.01)
+    mean = ph_mean(d)
+    sd = math.sqrt(ph_frac_moment(d, 2.0) - mean**2)
+    assert abs(draws.mean() - mean) < 5.0 * sd / math.sqrt(n)
+
+
 @st.composite
 def markov_laws(draw):
     """Markov laws of order 1..8 whose rates span 1e-3..1e2; the ends of the
