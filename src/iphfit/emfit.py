@@ -64,7 +64,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError,
@@ -193,6 +192,8 @@ _TABLE_MARGIN = 1.1
 def _per_cell(cell: np.ndarray, m: int):
     """The m x n sparse matrix that sums n points into their cells, for
     ``cell`` ascending; its data are the weights, to be set before use."""
+    from scipy.sparse import csr_matrix
+
     ptr = np.searchsorted(cell, np.arange(m + 1)).astype(np.int32)
     return csr_matrix((np.ones(cell.size), np.arange(cell.size, dtype=np.int32), ptr),
                       shape=(m, cell.size))

@@ -79,10 +79,12 @@ __all__ = [
 class RateFunction:
     """A positive intensity t -> rate(t) on [0, inf) with its primitive.
 
-    ``primitive`` is R(x) = int_0^x rate(t) dt; without a closed form, each
-    R(x) is ``matfun._quad`` of the rate, to 1e-12 relative or an
-    IntegrationError.  ``inverse_primitive`` is the transform g = R^{-1} when
-    known; otherwise ``phcore._solve_increasing`` inverts at 1e-10 relative.
+    ``primitive`` is R(x) = int_0^x rate(t) dt; without a closed form, R at
+    the sorted points is the running sum of ``matfun._quad`` of the rate
+    over each gap between neighbours (from 0 to the first), each to 1e-12
+    relative or an IntegrationError.  ``inverse_primitive`` is the transform
+    g = R^{-1} when known; otherwise ``phcore._solve_increasing`` inverts at
+    1e-10 relative.
     Build through :func:`rate_function`, which validates positivity on a
     log-spaced grid.
     Callables must be side-effect-free; vectorized evaluation assumes it.
@@ -100,8 +102,11 @@ class RateFunction:
         x = np.asarray(x, dtype=float)
         if self.primitive is not None:
             return np.asarray(self.primitive(x), dtype=float)
-        flat = np.atleast_1d(x)
-        vals = np.array([_quad(self.rate, 0.0, xi) for xi in flat])
+        flat = np.atleast_1d(x).ravel()
+        order = np.argsort(flat)
+        ends = np.concatenate([[0.0], flat[order]])
+        vals = np.empty(flat.size)
+        vals[order] = np.cumsum([_quad(self.rate, a, b) for a, b in zip(ends[:-1], ends[1:])])
         return vals.reshape(x.shape) if x.ndim else float(vals[0])
 
     def inverse_at(self, y):

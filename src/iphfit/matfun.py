@@ -17,7 +17,9 @@ local Taylor expansion, which is what makes repeated-eigenvalue
 one triangular Sylvester solve (``ztrsyl``) per row.
 
 All operations are pure functions of their arguments; matrices are dense
-and of order at most 128.
+and of order at most 128.  SciPy supplies ``expm``, ``logm``, ``schur``
+with ``ztrsen`` and ``ztrsyl``, and ``quad``; each is imported in the one
+function that calls it, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.integrate import quad
-from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .errors import (
     DomainError,
@@ -199,6 +198,8 @@ def power_function(a: float) -> AnalyticFunction:
 
 def _quad(fun, a, b, limit=200):
     """int_a^b fun to QUAD_RTOL relative, or an IntegrationError where quad falls short."""
+    from scipy.integrate import quad
+
     val, err, _, *msg = quad(fun, a, b, limit=limit, epsabs=0.0, epsrel=QUAD_RTOL, full_output=1)
     if msg:
         raise IntegrationError("quad: " + " ".join(msg[0].split(".")[0].split()), achieved=err)
@@ -275,7 +276,9 @@ def mat_exp(A) -> np.ndarray:
     Scaling-and-squaring with a degree-13 diagonal Pade approximant and
     norm-based scaling selection (scipy's expm).
     """
-    return sla.expm(check_square(A))
+    from scipy.linalg import expm
+
+    return expm(check_square(A))
 
 
 def mat_power_base(x: float, A) -> np.ndarray:
@@ -296,7 +299,9 @@ def mat_log_neg(T) -> np.ndarray:
 
 def _log_neg(T) -> np.ndarray:
     """Real principal logarithm of -T; needs only Re(eig T) < 0, so ME generators qualify."""
-    out = sla.logm(-T)
+    from scipy.linalg import logm
+
+    out = logm(-T)
     out = np.real_if_close(out, tol=1e6)
     if np.iscomplexobj(out):
         out = out.real
@@ -353,12 +358,15 @@ def mat_fun(A, h: AnalyticFunction) -> np.ndarray:
     Block row i, swept from the last, takes F11 from :func:`_taylor_atom` and
     F12 from T11 F12 - F12 T22 = F11 T12 - T12 F22, with F22 already known.
     """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import ztrsen, ztrsyl
+
     A = check_square(A)
     if not isinstance(h, AnalyticFunction):
         h = AnalyticFunction(h)
     n = A.shape[0]
     nrm = np.linalg.norm(A, 2)
-    T, Q = sla.schur(A.astype(complex), output="complex")
+    T, Q = schur(A.astype(complex), output="complex")
 
     eigs = np.diag(T)
     near = np.abs(eigs[:, None] - eigs) <= CLUSTER_RTOL * nrm

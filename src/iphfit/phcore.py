@@ -50,6 +50,10 @@ refinement.
 Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
 count N drawn by inverse CDF on the survival rows pi P^n e from
 ``_nonneg_powers`` (see ``ph_sample``), so no jump chain is walked.
+
+Density, survival, quantiles and sampling of Markov laws run on numpy
+alone.  Of SciPy this module calls ``block_diag`` (in ``mixture_rep``) and
+``bsr_matrix`` (in ``_kept_rows``, for the E-step), each imported there.
 """
 
 from __future__ import annotations
@@ -58,9 +62,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.sparse import bsr_matrix
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateConditioningError,
@@ -112,18 +113,6 @@ _RAW_LEVELS = 9
 # products as 21
 _STEP_DEPTH = 31
 
-
-def _substep_weights(s: int):
-    """Poisson(2^-s) pmf over k <= _STEP_DEPTH, and P(k < Pois <= K) for
-    k < K: the weights of an anchor substep and of its deficit."""
-    h = 2.0 ** -s
-    ks = np.arange(_STEP_DEPTH + 1.0)
-    w = np.exp(ks * math.log(h) - h - gammaln(ks + 1.0))
-    return w, np.cumsum(w[::-1])[-2::-1]
-
-
-# for every order up to 2 MAX_DIM, the size of the E-step's chain
-_SUBSTEP_WEIGHTS = [_substep_weights(s) for s in range((2 * MAX_DIM - 1).bit_length())]
 
 # the unit round-off: a window series stops once its bound on the dropped
 # terms is at most this share of the kept ones
@@ -275,6 +264,8 @@ def gen_erlang_rep(lambdas) -> PHDist:
 
 def mixture_rep(weights, components) -> PHDist:
     """Finite mixture of PH laws as one block-diagonal representation."""
+    from scipy.linalg import block_diag
+
     w = np.asarray(list(weights), dtype=float)
     comps = list(components)
     if w.size != len(comps) or w.size == 0:
@@ -482,7 +473,7 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
 
 
 def _window_rows(delta: np.ndarray, K: int) -> np.ndarray:
-    """Poisson(delta) pmf over k = 0..K for each delta in [0, 1).
+    """Poisson(delta) pmf over k = 0..K for each delta in [0, 1].
 
     Rows of an F-ordered (n, K + 1) array, by the forward recurrence
     w_k = w_{k-1} delta / k from w_0 = e^{-delta}: no term cancels and
@@ -498,6 +489,18 @@ def _window_rows(delta: np.ndarray, K: int) -> np.ndarray:
     return W
 
 
+def _substep_weights(s: int):
+    """Poisson(2^-s) pmf over k <= _STEP_DEPTH, a row of ``_window_rows``,
+    and P(k < Pois <= K) for k < K: the weights of an anchor substep and of
+    its deficit."""
+    w = _window_rows(np.array([2.0**-s]), _STEP_DEPTH)[0]
+    return w, np.cumsum(w[::-1])[-2::-1]
+
+
+# for every order up to 2 MAX_DIM, the size of the E-step's chain
+_SUBSTEP_WEIGHTS = [_substep_weights(s) for s in range((2 * MAX_DIM - 1).bit_length())]
+
+
 def _kept_rows(W: np.ndarray, delta: np.ndarray, cell: np.ndarray, m: int):
     """A kept table's rows and their constants: (W, tail, Z, tail_max).
 
@@ -509,6 +512,8 @@ def _kept_rows(W: np.ndarray, delta: np.ndarray, cell: np.ndarray, m: int):
     Z @ vec(a) = sum_k W_ik a_{cell_i, k} for an m x 21 array a; its data
     is W itself, not a copy.
     """
+    from scipy.sparse import bsr_matrix
+
     K = W.shape[1] - 1
     tail = W[:, K] * delta
     Z = bsr_matrix((W.reshape(-1, 1, K + 1), cell, np.arange(cell.size + 1, dtype=np.int32)),

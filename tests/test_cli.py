@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import iphfit
 from iphfit.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -32,7 +35,7 @@ from iphfit.families import (
     tph_sample,
 )
 from iphfit.modelio import load_model, save_model
-from iphfit.phcore import erlang_rep
+from iphfit.phcore import erlang_rep, ph_new
 
 
 def write_claims(tmp_path, n=400, seed=42, lam=1.4):
@@ -423,3 +426,50 @@ def test_config_file_merge(tmp_path, capsys):
         capsys.readouterr()
         assert main(["fit", "--config", str(bad_cfg)]) == EXIT_CONFIG
         assert "unknown key" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+_COLD_START = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import iphfit, iphfit.cli
+assert not scipy_modules(), ("import", scipy_modules())
+params, claims, out = sys.argv[1:]
+for query, at in (("pdf", "3"), ("sf", "3"), ("quantile", "0.99"), ("mean", None)):
+    ask = ["eval", "--params", params, "--query", query] + (["--at", at] if at else [])
+    assert iphfit.cli.main(ask) == 0, query
+    assert not scipy_modules(), (query, scipy_modules())
+ask = ["sample", "--params", params, "--count", "2000", "--out", out + ".csv"]
+assert iphfit.cli.main(ask) == 0
+assert not scipy_modules(), ("sample", scipy_modules())
+import scipy.sparse
+sparse = scipy_modules()
+ask = ["fit", "--input", claims, "--header-rows", "1", "--transform", "pareto",
+       "--shift", "0.0", "--phases", "2", "--max-iters", "20", "--out-dir", out]
+assert iphfit.cli.main(ask) == 0
+assert scipy_modules() == sparse, ("fit", sorted(set(scipy_modules()) - set(sparse)))
+"""
+
+
+def test_cold_start_loads_scipy_only_where_a_command_needs_it(tmp_path):
+    # in one fresh interpreter, importing the package and answering eval and
+    # sample on a Markov matrix-Pareto model load no SciPy module, and a fit
+    # loads none beyond scipy.sparse and the modules it imports
+    params = tmp_path / "m.json"
+    T = np.array([[-3.0, 1.0, 0.5], [0.2, -2.5, 1.0], [0.0, 0.3, -2.0]])
+    save_model(tph_new(ph_new(np.array([0.5, 0.3, 0.2]), T), ParetoExp()), params)
+    claims, _ = write_claims(tmp_path, n=200)
+    src = os.path.dirname(os.path.dirname(iphfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(params), str(claims), str(tmp_path / "fit")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "fit" / "params.json").exists()

@@ -148,6 +148,17 @@ def test_quadrature_primitive_that_falls_short_is_an_error():
     assert info.value.achieved > 0.0
 
 
+def test_quadrature_primitive_sums_the_gaps_between_sorted_points():
+    # 2 + sin t at 256 points out to 3000, given out of order: one quad from
+    # 0 per point runs out of subdivisions before x = 3000, the gaps
+    # between neighbours do not, and their running sum is R(x) = 2x + 1 - cos x
+    r = rate_function(lambda t: 2.0 + np.sin(t), name="oscillating")
+    xs = np.random.default_rng(3).permutation(np.linspace(0.0, 3000.0, 256))
+    want = 2.0 * xs + 1.0 - np.cos(xs)
+    np.testing.assert_allclose(r.primitive_at(xs), want, rtol=1e-12, atol=0.0)
+    assert r.primitive_at(xs.reshape(16, 16)).shape == (16, 16)
+
+
 def test_builtin_rates_round_trip():
     for r in rate_suite():
         for x in (0.3, 1.0, 4.2):

@@ -300,6 +300,14 @@ def test_deep_window_rows_match_mpmath(delta):
     np.testing.assert_allclose(W[0], _mp_poisson_row(delta, K), rtol=1e-13, atol=0.0)
 
 
+def test_substep_weights_match_mpmath():
+    # the Poisson(2^-s) weights of every anchor substep come from the
+    # recurrence of _window_rows, within a few ulp of the 40-digit pmf
+    for s, (w, _) in enumerate(phcore._SUBSTEP_WEIGHTS):
+        want = _mp_poisson_row(2.0**-s, phcore._STEP_DEPTH)
+        np.testing.assert_allclose(w, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_one_point_matches_its_entry_in_a_batch():
     # alone a point is the only row of its window table and walks to its
     # cell alone; among 2000 it shares both with its neighbours
