@@ -49,10 +49,10 @@ from .families import (
     tph_sample,
     tph_sf,
 )
-from .iph import inverse_linear_rate, iph_new, iph_sf, path_new, product_integral
+from .iph import inverse_linear_rate, iph_new, iph_sf, path_new, product_integral, rate_function
 from .matfun import mat_exp
 from .modelio import load_model, model_mean, save_model
-from .phcore import erlang_rep, ph_pdf, ph_sample
+from .phcore import erlang_rep, ph_pdf, ph_quantile, ph_sample
 
 __all__ = ["RunConfig", "ingest_csv", "auto_shift", "run_fit", "eval_cmd", "main"]
 
@@ -335,6 +335,14 @@ def _oracle_checks() -> list[tuple[str, bool]]:
     data = ph_sample(exp1, np.random.default_rng(0), 2000)
     stepped = em_step(erlang_rep(1, 5.0), data)
     checks.append(("one-step exponential MLE", abs(-stepped.T[0, 0] - 1 / data.mean()) < 1e-10))
+    qs = np.array([1e-12, 0.5, 1.0 - 1e-9])
+    want = -np.log1p(-qs) / 2.0
+    got = ph_quantile(erlang_rep(1, 2.0), qs)
+    checks.append(("exponential quantiles", bool(np.max(np.abs(got / want - 1.0)) < 1e-10)))
+    ys = np.array([1e-3, 0.7, 30.0])
+    root = rate_function(lambda t: 0.5 / np.sqrt(t), primitive=np.sqrt)
+    checks.append(("solver inverse primitive",
+                   bool(np.max(np.abs(root.inverse_at(ys) / ys**2 - 1.0)) < 1e-10)))
     return checks
 
 

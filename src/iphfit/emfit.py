@@ -310,7 +310,17 @@ def _mstep(d: PHDist, starts, sojourn, jumps, exits, freeze=None):
     R.flat[:: p + 1] = 0.0
     t += R.sum(axis=1)
     R.flat[:: p + 1] = -t
-    return ph_new(pi_new, np.where(live[:, None], R, d.T), markov=True)
+    T = np.where(live[:, None], R, d.T)
+    # pi sums to one, the off-diagonal rates are nonnegative and each row
+    # closes on its exit rate, so of ph_new's checks only one can fail here:
+    # every state must still reach an exit, (-T)^{-1} e > 0
+    try:
+        reach = np.linalg.solve(-T, np.ones(p))
+    except np.linalg.LinAlgError:
+        reach = np.zeros(p)
+    if not (reach > 0).all():
+        raise ValidationError("the EM update left a state that never reaches an exit")
+    return PHDist(pi_new, T, np.maximum(-T.sum(axis=1), 0.0), True, np.ones(p))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +464,8 @@ def fit_transformed(data, transform, shift: float, config: FitConfig):
             f"first offenders at indices {idx[:10]}",
             indices=idx,
         )
-    result = fit_ph_em(u, config)
     composed = transform if shift == 0.0 else ShiftedTransform(transform, shift)
+    result = fit_ph_em(u, config)
     model = tph_new(result.fitted, composed)
     with np.errstate(divide="ignore"):
         log_jac = np.log(np.asarray(transform.jac(xs, 1.0), dtype=float))

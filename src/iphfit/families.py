@@ -229,7 +229,9 @@ class ShiftedTransform:
 
     This is what fitting to shifted transformed data produces: the base
     law describes U = g^{-1}(Y) - shift.  The Jacobian of g^{-1} is
-    unchanged; only the support and the x <-> y maps move.
+    unchanged; only the support and the x <-> y maps move.  Only
+    ParetoExp is defined on all of R; the other maps start at x = 0, so
+    under them a negative shift would put mass where g is undefined.
     """
 
     inner: object
@@ -238,6 +240,10 @@ class ShiftedTransform:
     def __post_init__(self):
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
+        if self.shift < 0 and not isinstance(self.inner, ParetoExp):
+            raise ValidationError(
+                f"shift {self.shift} is negative, but the {self.inner.tag} map "
+                "is undefined below x = 0")
 
     @property
     def increasing(self):

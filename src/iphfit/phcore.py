@@ -44,8 +44,19 @@ whose exit lies many steps away, get them.  Nothing under- or overflows:
 the log of a density far below the float range comes out finite.
 
 Quantiles, and the inverse primitives of ``iph``, come from one
-root-finder, ``_solve_increasing``, which describes its bracketing and
-refinement.
+root-finder, ``_solve_increasing``, at about one evaluation per level
+when levels are many.  A geometric ladder brackets every level; one pass
+splits each ladder bracket that holds several levels into up to 64
+parts (at most one point per level); each level starts from the inverse
+monotone (Fritsch-Carlson) cubic through its fine bracket and takes
+steps -(h - c)/s at the bracket's secant slope s in y = log x.  Where h'
+is monotone across the fine bracket and its two neighbours, twice the
+spread rho of their secants about s bounds |1 - h'/s|, so a step lands
+within |step| rho of the root, and it is taken without another
+evaluation once |step| rho <= rel_tol/2; elsewhere the bracket itself
+must close to rel_tol.  The longest step allowed halves each pass, and
+the bracket is bisected instead of a longer step, so at 1e-10 a solve
+ends within 65 passes past the ladder; a qq plot's levels take about 10.
 
 Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
 count N drawn by inverse CDF on the survival rows pi P^n e from
@@ -130,11 +141,12 @@ _UNIFORM_STEP = 2.0 ** -53
 # rows fell below 2^-53 after about 28 q E X (128 rows at q E X = 4.6, 512 at 13)
 _SAMPLE_ROWS = 64
 
-# root finding (_solve_increasing): ladder points per octave, and
-# the false-position steps a bracket may take without halving before one
-# bisection step is forced
+# root finding (_solve_increasing): ladder points per octave, the octaves
+# below the start in its first pass (two above), and the most parts a
+# ladder bracket is split into
 _GRID_PER_OCTAVE = 4
-_STALL_STEPS = 3
+_FIRST_OCTAVES = 8
+_FINE_PARTS = 64
 
 
 @dataclass(frozen=True)
@@ -752,32 +764,69 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
     """Per-entry root of h(x) = c[i] for a nondecreasing, vectorised h on x > 0.
 
     This is the one monotone root-finder: quantiles (``_tail_points``) and
-    the inverse primitives of ``iph`` come from it.  Every entry is
-    bracketed on one geometric ladder 2^(k/_GRID_PER_OCTAVE) around x0: h
-    is evaluated on two octaves either side of x0 in one pass, and a side
-    whose end does not yet reach min(c) or max(c) gets as many octaves
-    again as it already spans in the next pass, so a level 2^m x0 away
-    costs about log2 m passes.  Nothing limits the ladder but the float
-    range, 2^-1074 to 2^(1024 - 1/_GRID_PER_OCTAVE); ``fail`` is raised
-    once a side that still falls short has reached its end.
-    Brackets are refined by Anderson-Bjorck regula falsi, each pass
-    evaluating h only at the entries still open, with a bisection step
-    wherever a bracket has not halved within _STALL_STEPS steps; a level
-    costs about five evaluations.  An entry is done once its bracket is
-    within ``rel_tol`` (at least 2^-52, the widest relative gap between
-    floats) of its upper end, or its ends are adjacent subnormals; the
-    midpoint is returned.  The loop's one exit is when all are done: a
-    bracket halves at least every _STALL_STEPS + 1 passes (by bisection;
-    one more where a midpoint rounds), and from a ladder bracket, < 0.16
-    of its upper end wide, 31 halvings reach 1e-10, so 124 passes.
-    h(x) < c[i] is "below the root", so infinite values of h are allowed.
+    the inverse primitives of ``iph`` come from it.  Each pass evaluates h
+    once, on a vector.  h(x) < c[i] is "below the root", so infinite
+    values of h are allowed.
+
+    Ladder.  Every entry is bracketed on one geometric ladder
+    2^(k/_GRID_PER_OCTAVE) around x0: h is evaluated from _FIRST_OCTAVES
+    octaves below x0 to two above it in one pass, and a side whose end
+    does not yet reach min(c) or max(c) gets as many octaves again as it
+    already spans in the next pass, so a level 2^m x0 away costs about
+    log2 m passes more.  The first pass reaches further down than up:
+    points far above x0 cost the kernel many anchor cells, and there its
+    squarings lose long Erlang chains (the survival function of
+    Erlang(40, 3) is NaN at 60 times its mean).  Nothing limits the
+    ladder but the float range, 2^-1074 to 2^(1024 - 1/_GRID_PER_OCTAVE);
+    ``fail`` is raised once a side that still falls short has reached its
+    end.
+
+    Refinement.  One pass splits each ladder bracket that holds m >= 2
+    levels into min(_FINE_PARTS, m + 1) equal parts in y = log x: at most
+    one point per level, and none for a bracket of one level, so a
+    single-level solve pays no such pass.  Each level then lies in a fine
+    bracket of the nodes, of secant slope s = dh/dy, between intervals of
+    secants s_l and s_r.
+
+    Start.  The inverse monotone cubic through the fine bracket: y as the
+    Hermite cubic in h whose end slopes are the Fritsch-Carlson weighted
+    harmonic means of the secants, which keeps it inside the bracket.
+
+    Polish.  Each pass evaluates h at every open entry's point, keeps the
+    bracket [a, b] around its root, and takes the step -(h - c) / s in y.
+    s is the fine secant at first, then the secant through the entry's
+    last two points wherever that lies between s_l and s_r.  Where h' is
+    monotone across the three intervals (1/256 octave each once refined)
+    it lies between s_l and s_r on the fine bracket, so |1 - h'/s| <=
+    rho/2 with rho = 2 max(|s_l - s|, |s_r - s|) / s, and the step lands
+    within |step| (rho/2) / (1 - rho/2) <= |step| rho of the root once
+    rho <= 1.  (The secants' order is not checked: round-off makes those
+    of a nearly linear h wobble, and at a smooth extremum of h' their
+    spread still exceeds that of h' over the fine bracket.)  So y + step
+    is returned, without another evaluation, when rho <= 1 and
+    |step| rho <= rel_tol/2.  Otherwise (rho > 1, or no
+    neighbour at the ladder's end) the strict rule holds: the step is
+    pushed rel_tol/4 further, so that a step of at most rel_tol/2 that
+    crosses the root leaves a bracket narrow enough to close.  An entry
+    is done once its bracket is within ``rel_tol`` (at least 2^-52, the
+    widest relative gap between floats) of its upper end, or its ends are
+    adjacent subnormals; the midpoint is returned then.
+
+    Pass bound.  A step must land inside the bracket and be at most
+    w 2^-n long at the n-th polish pass, w the fine bracket's width in y
+    (at most ln 2 / 4); otherwise the pass bisects.  After log2(4 w /
+    rel_tol) passes no step fits but one rho accepts at once (a pushed
+    step is at least rel_tol/4 long), so every pass after that accepts or
+    bisects, and a ladder bracket, < 0.16 of its upper end wide, closes
+    within 31 bisections at 1e-10: at most 1 + 33 + 31 = 65 polish passes.
+    The loop's one exit is when all entries are done.
     """
     rel_tol = max(rel_tol, 2.0 ** -52)
     cmin, cmax = float(np.min(c)), float(np.max(c))
     g = _GRID_PER_OCTAVE
     k_min, k_max = -1074 * g, 1024 * g - 1  # 2^(k/g) is positive and finite
     k0 = min(max(round(g * math.log2(x0)), k_min), k_max)
-    lo, hi = max(k0 - 2 * g, k_min), min(k0 + 2 * g, k_max)
+    lo, hi = max(k0 - _FIRST_OCTAVES * g, k_min), min(k0 + 2 * g, k_max)
     hs = h(np.exp2(np.arange(lo, hi + 1) / g))
     while True:
         short_lo, short_hi = not hs[0] < cmin, not hs[-1] >= cmax
@@ -790,56 +839,78 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
         ext = h(np.exp2(np.r_[new_lo:lo, hi + 1 : new_hi + 1] / g))
         hs = np.concatenate([ext[: lo - new_lo], hs, ext[lo - new_lo :]])
         lo, hi = new_lo, new_hi
-    grid = np.exp2(np.arange(lo, hi + 1) / g)
-    # first ladder point at or above each target; hs may wobble by round-off
+    k = np.arange(lo, hi + 1, dtype=float)
+    # first node at or above each target; hs may wobble by round-off
     i = np.searchsorted(np.maximum.accumulate(hs), c, side="left")
-    a, b = grid[i - 1], grid[i]
-    fa, fb = hs[i - 1] - c, hs[i] - c
+    held = np.bincount(i, minlength=k.size)
+    cuts = np.where(held > 1, np.minimum(held, _FINE_PARTS - 1), 0)  # new nodes per bracket
+    if cuts.any():
+        at = np.repeat(np.arange(k.size), cuts)
+        parts = cuts[at] + 1.0
+        part = np.arange(at.size) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1
+        sub = k[at] - 1.0 + part / parts
+        hs = np.insert(hs, at, h(np.exp2(sub / g)))
+        k = np.insert(k, at, sub)
+        i = np.searchsorted(np.maximum.accumulate(hs), c, side="left")
+    x = np.exp2(k / g)
+    y = np.log(x)  # of the float evaluated, subnormals included
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dh = np.diff(hs)
+        sec = np.r_[np.nan, dh / np.diff(y), np.nan]
+        dh = np.r_[np.nan, dh, np.nan]
+        a, b = x[i - 1], x[i]
+        s, s_l, s_r = sec[i], sec[i - 1], sec[i + 1]
+        # Fritsch-Carlson slopes of y(h) at the bracket ends, as ratios to its secant
+        w, w_l, w_r = dh[i], dh[i - 1], dh[i + 1]
+        r_l, r_r = s_l / s, s_r / s
+        m_a = 3.0 * (w + w_l) / ((2.0 * w + w_l) * r_l + w + 2.0 * w_l)
+        m_b = 3.0 * (w + w_r) / (2.0 * w_r + w + (w_r + 2.0 * w) * r_r)
+        m_a = np.where((r_l > 0.0) & np.isfinite(m_a), m_a, 1.0)
+        m_b = np.where((r_r > 0.0) & np.isfinite(m_b), m_b, 1.0)
+        t = (c - hs[i - 1]) / w
+        t = t + t * (1.0 - t) * ((1.0 - t) * (m_a - 1.0) - t * (m_b - 1.0))
+        start = np.exp(y[i - 1] + t * (y[i] - y[i - 1]))
+    x = np.where(np.isfinite(s), np.clip(start, a, b), 0.5 * (a + b))
+    lim = y[i] - y[i - 1]  # the longest step allowed; it halves every pass
 
     out = np.empty_like(c)
     idx = np.arange(c.size)
-    side = np.zeros(c.size, dtype=np.int64)  # end the last point replaced: -1 a, 1 b
-    ref = b - a  # width when the bracket last halved
-    age = np.zeros(c.size, dtype=np.int64)  # steps since then
+    y_last = f_last = None  # each entry's previous point and value
     while True:
-        done = b - a <= rel_tol * b + 2.0 ** -1074
-        if done.any():
-            out[idx[done]] = 0.5 * (a[done] + b[done])
-            keep = ~done
-            idx, c, a, b, fa, fb = idx[keep], c[keep], a[keep], b[keep], fa[keep], fb[keep]
-            side, ref, age = side[keep], ref[keep], age[keep]
-        if not idx.size:
-            return out
-        # false position where both ends are finite, else bisection
-        den = fb - fa
-        secant = (age < _STALL_STEPS) & np.isfinite(den) & (den > 0.0)
-        t = np.divide(-fa, den, out=np.full(idx.size, 0.5), where=secant)
-        # a step of at least a fraction of the tolerance from either end, so
-        # a point landing next to the root closes its bracket
-        step = 0.4 * rel_tol * b
-        x = np.clip(a + t * (b - a), a + step, b - step)
-        fx = h(x) - c
-        below = fx < 0.0
-        # Anderson-Bjorck: an end kept twice in a row has its value scaled
-        # by 1 - fx / f(replaced end), or halved if that is not positive
-        new_side = np.where(below, -1, 1)
-        replaced = np.where(below, fa, fb)
-        valid = np.isfinite(fx) & np.isfinite(replaced) & (replaced != 0.0)
-        ratio = np.divide(fx, replaced, out=np.ones(idx.size), where=valid)
-        m = np.where(side == new_side, np.where(ratio < 1.0, 1.0 - ratio, 0.5), 1.0)
-        fa = np.where(below, fx, fa * m)
-        fb = np.where(below, fb * m, fx)
+        f = h(x) - c
+        below = f < 0.0
         a = np.where(below, x, a)
         b = np.where(below, b, x)
-        side = new_side
-        width = b - a
-        halved = width <= 0.5 * ref
-        ref = np.where(halved, width, ref)
-        age = np.where(halved, 0, age + 1)
+        yx = np.log(x)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            if y_last is not None:
+                # the secant through the last two points, where it keeps rho's bound
+                fresh = (f - f_last) / (yx - y_last)
+                s = np.where(((s_l - fresh) * (s_r - fresh) <= 0.0) & (fresh > 0.0), fresh, s)
+            rho = 2.0 * np.maximum(abs(s_l - s), abs(s_r - s)) / s
+            trusted = rho <= 1.0
+            step = -f / s
+            # an untrusted step goes a quarter tolerance past where it aims
+            step = np.where(trusted, step, step + np.where(below, 0.25, -0.25) * rel_tol)
+            nxt = x + x * np.expm1(step)
+            lands = trusted & (abs(step) * rho <= 0.5 * rel_tol)
+        closed = b - a <= rel_tol * b + 2.0 ** -1074
+        done = lands | closed
+        if done.any():
+            out[idx[done]] = np.where(lands, np.clip(nxt, a, b), 0.5 * (a + b))[done]
+            keep = ~done
+            idx, c, a, b, x, nxt, f, yx = (v[keep] for v in (idx, c, a, b, x, nxt, f, yx))
+            step, s, s_l, s_r, lim = (v[keep] for v in (step, s, s_l, s_r, lim))
+        if not idx.size:
+            return out
+        y_last, f_last = yx, f
+        lim = 0.5 * lim
+        fits = (abs(step) <= lim) & (a < nxt) & (nxt < b)
+        x = np.where(fits, nxt, 0.5 * (a + b))
 
 
 def ph_quantile(d: PHDist, q, rel_tol: float = 1e-10):
-    """Quantile: the midpoint of a bracket within ``rel_tol`` of its upper end.
+    """Quantile to ``rel_tol`` relative (see ``_solve_increasing``).
 
     The levels go through ``_tail_points``: below 1/2 they solve
     log ph_cdf(x) = log q, the rest -log ph_sf(x) = -log(1 - q), so
@@ -911,8 +982,9 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     first M steps and draws the rest the same way from the next table: it
     starts from pi P^M scaled to sum to one (the law given N > M), with
     twice the rows up to the cap, and so on.  The draws are exact for every
-    Markov law; memory is O(count) plus two tables, the first of fewer than
-    2 _SAMPLE_ROWS q E X rows and none past _BLOCK_ENTRIES floats.
+    Markov law; memory is O(count) plus one table at a time, the first of
+    fewer than 2 _SAMPLE_ROWS q E X rows and none past _BLOCK_ENTRIES floats,
+    with S written over rows of its own table once they are summed.
     """
     if not d.markov:
         raise UnsupportedRepresentationError(
@@ -930,17 +1002,29 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
     x = todo = None  # the draws, and the indices of those still going
     while True:
         R = _nonneg_powers(P, rows - 1, start, _UNIFORM_STEP)[:, 0]
-        S = np.minimum.accumulate(R.sum(axis=1))
-        small = np.flatnonzero(S < _UNIFORM_STEP)
-        M = int(small[0]) if small.size else S.size - 1
+        # -S_n goes into the table's own buffer at flat index n, over rows
+        # already summed, in blocks of 1/8 of a full table: S takes no
+        # second table's worth of memory
+        flat, block = R.reshape(-1), np.empty(min(R.shape[0], _BLOCK_ENTRIES // 8))
+        for lo in range(0, R.shape[0], block.size):
+            sums = R[lo : lo + block.size].sum(axis=1, out=block[: R.shape[0] - lo])
+            small = np.flatnonzero(sums < _UNIFORM_STEP)
+            if small.size or lo + sums.size == R.shape[0]:
+                M = lo + int(small[0]) if small.size else R.shape[0] - 1
+                start = R[M : M + 1] / R[M].sum()
+                np.negative(sums[: M + 1 - lo], out=flat[lo : M + 1])
+                break
+            np.negative(sums, out=flat[lo : lo + sums.size])
+        # -S_n rises with n (the accumulation irons out round-off)
+        neg_S = np.maximum.accumulate(flat[: M + 1], out=flat[: M + 1])
         u = rng.random(count if todo is None else todo.size)
-        # #{n <= M : S_n <= U}; S falls, so search it reversed
-        below = np.searchsorted(S[M::-1], u, side="right")
-        cont = np.flatnonzero(below == 0)
-        # the shapes N, written over the spent uniforms
-        np.subtract(M + 1, below, out=u)
-        del below
-        np.clip(u, 1, M, out=u)
+        # N = #{n <= M : S_n > U}
+        N = np.searchsorted(neg_S, np.negative(u, out=u), side="left")
+        del R, flat, neg_S, block, sums  # so the next table is not built beside this one
+        cont = np.flatnonzero(N == M + 1)
+        # the shapes, written over the spent uniforms
+        np.clip(N, 1, M, out=u)
+        del N
         if todo is None:
             x, todo = rng.gamma(u, 1.0 / q), cont
         else:
@@ -948,5 +1032,4 @@ def ph_sample(d: PHDist, rng: np.random.Generator, count: int) -> np.ndarray:
             todo = todo[cont]
         if not todo.size:
             return x
-        start = R[M : M + 1] / R[M].sum()
         rows = min(2 * rows, cap)

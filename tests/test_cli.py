@@ -364,6 +364,20 @@ def test_fit_gev_datum_outside_the_support_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_gumbel_auto_shift_below_zero_is_a_data_error(tmp_path, capsys):
+    # e^-y underflows to 0 at y = 800 and 1200, so the auto shift is -0.1;
+    # the Gumbel map is undefined below x = 0, so no model is written
+    data_path, _ = write_claims(tmp_path, n=200)
+    with open(data_path, "a") as fh:
+        fh.write("800\n1200\n")
+    out = tmp_path / "o"
+    rc = main(["fit", "--input", str(data_path), "--header-rows", "1", "--transform", "gumbel",
+               "--sigma", "1", "--shift", "auto", "--out-dir", str(out)])
+    assert rc == EXIT_DATA
+    assert "shift -0.1 is negative" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_main_sample_deterministic(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(tph_new(erlang_rep(2, 1.5), ParetoExp()), path)
@@ -396,8 +410,9 @@ def test_main_oracle_check(capsys):
     assert main(["oracle-check"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 5
+    assert len(lines) >= 7
     assert all(ln.startswith("PASS") for ln in lines)
+    assert {"PASS  exponential quantiles", "PASS  solver inverse primitive"} <= set(lines)
 
 
 def test_config_file_merge(tmp_path, capsys):

@@ -409,6 +409,16 @@ def test_mstep_zero_sojourn_error_names_the_first_live_state():
     assert np.array_equal(frozen.T[[1, 3]], BASE_T[[1, 3]])
 
 
+@pytest.mark.parametrize("exits", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_mstep_rejects_a_state_that_never_reaches_an_exit(exits):
+    # states 1 and 2 only jump to each other: the update's one failure mode
+    d = erlang_rep(3, 1.0)
+    jumps = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    stats = (np.ones(3), np.ones(3), jumps, np.array(exits))
+    with pytest.raises(ValidationError, match="never reaches an exit"):
+        _mstep(d, *stats)
+
+
 def test_a_state_pi_never_reaches_gets_zero_statistics():
     # the slow third state is never entered; left in the chain, it set the
     # scale of every squaring, and the reached states' anchors went to 0/0

@@ -110,6 +110,12 @@ def test_transform_validation():
         ParetoExp(beta=-2.0)
     with pytest.raises(ValidationError):
         ShiftedTransform(ParetoExp(), float("nan"))
+    # every map but ParetoExp starts at x = 0, so a negative shift would
+    # put mass where g is undefined
+    for g in (NegLogAffine(0.0, 1.0), Power(0.5), ShiftedPower(0.0, 1.0, 0.5)):
+        with pytest.raises(ValidationError, match="negative"):
+            ShiftedTransform(g, -0.1)
+    assert ShiftedTransform(ParetoExp(), -9.3).support(1.0)[0] == pytest.approx(math.expm1(-9.3))
 
 
 def test_tph_new_scale_resolution():

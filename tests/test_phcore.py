@@ -504,22 +504,52 @@ def test_quantile_brackets_its_level(law):
     assert np.all(1.0 - qs[~low] >= ph_sf(d, above[~low]))
 
 
-@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS))
-def test_quantile_evaluates_few_points_per_level(law, monkeypatch):
-    # bisection from [0, hi] evaluated 42-102 points per level on these laws;
-    # the stiff law's far levels cost O(q x) each, so it gets fewer levels
-    n = 200 if law == "stiff" else 20000
-    d = QUANTILE_LAWS[law]()
-    seen = [0]
+def _count_kernel(monkeypatch):
+    """[passes, points] of the uniformization kernel, counted from here on."""
+    seen = [0, 0]
     action = phcore._unif_action
 
-    def counting(pi, T, v, xs, cumulative=False):
-        seen[0] += np.size(xs)
-        return action(pi, T, v, xs, cumulative)
+    def counting(pi, T, v, xs, log=False):
+        seen[0] += 1
+        seen[1] += np.size(xs)
+        return action(pi, T, v, xs, log)
 
     monkeypatch.setattr(phcore, "_unif_action", counting)
+    return seen
+
+
+@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS))
+def test_quantile_evaluates_few_points_per_level(law, monkeypatch):
+    # bisection from [0, hi] evaluated 42-102 points per level on these laws,
+    # regula falsi 4.6-4.9; the stiff law's far levels cost O(q x) each and
+    # share no ladder bracket, so it gets fewer levels and no refinement
+    n = 200 if law == "stiff" else 20000
+    d = QUANTILE_LAWS[law]()
+    seen = _count_kernel(monkeypatch)
     ph_quantile(d, _tail_levels(n))
-    assert seen[0] <= 12 * n
+    assert seen[1] <= (12 if law == "stiff" else 2) * n
+
+
+def test_quantile_of_qq_levels_costs_about_one_point_each(monkeypatch):
+    # the levels i/(N+1) of a qq plot: a refinement pass and a step at the
+    # fine secant's slope from the inverse cubic settle nearly every level
+    # at its first point
+    n = 20000
+    seen = _count_kernel(monkeypatch)
+    ph_quantile(QUANTILE_LAWS["bench5"](), np.arange(1, n + 1) / (n + 1.0))
+    assert seen[0] <= 12 and seen[1] <= 1.5 * n
+
+
+@pytest.mark.parametrize("q, passes", [
+    (0.99, 6), (0.5, 5), (0.3, 8), (1e-6, 12), (1.0 - 1e-9, 6)])
+def test_quantile_of_one_level_takes_no_more_passes(q, passes, monkeypatch):
+    # the bounds are the pass counts of the regula falsi this solver replaced:
+    # a lone level skips the refinement pass, and secant slopes take it from
+    # its ladder bracket in as few passes
+    seen = _count_kernel(monkeypatch)
+    x = ph_quantile(QUANTILE_LAWS["bench5"](), q)
+    assert seen[0] <= passes
+    assert ph_sf(QUANTILE_LAWS["bench5"](), x) == pytest.approx(1.0 - q, rel=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -544,11 +574,22 @@ def test_quantile_reaches_extreme_levels_in_few_passes(n, monkeypatch):
         assert x == pytest.approx(-math.log1p(-q), rel=1e-9, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [40, 100])
+def test_quantile_of_a_long_erlang_chain_stays_where_the_kernel_is_finite(n):
+    # the kernel's squarings lose long chains far out (ph_sf of Erlang(40, 3)
+    # is NaN at 60 times its mean), so the ladder must not reach that far
+    # above the mean for levels that lie near it
+    qs = np.array([0.01, 0.5, 0.99])
+    x = ph_quantile(erlang_rep(n, 1.0), qs)
+    assert gammainc(n, x) == pytest.approx(qs, rel=1e-9)
+
+
 @pytest.mark.parametrize("q, rel_tol", [(1e-320, 1e-10), (0.5, 1e-17), (0.5, 0.0)])
 def test_quantile_stops_at_a_bracket_no_float_can_split(q, rel_tol, monkeypatch):
     # a root among the subnormals, or a tolerance below the float spacing,
     # leaves a bracket of two adjacent floats, which no step can narrow;
-    # the solve ends there (37 and 4 passes), not after 200 idle ones
+    # the solve ends there (10 and 5 passes), not after 200 idle ones
     passes = [0]
     action = phcore._unif_action
 
@@ -592,6 +633,19 @@ def test_sample_ks_across_suite():
         assert draws.shape == (n,) and np.all(draws > 0)
         dist = ks_distance(draws, lambda x: ph_cdf(d, x))
         assert dist < crit, f"suite member {i}: KS {dist} >= {crit}"
+
+
+def test_sample_holds_one_table_at_a_time():
+    # the stiff law runs at the cap, a 4 MiB table of 2^18 rows; neither its
+    # survival column nor the next table may sit beside it (8 MiB before)
+    d = QUANTILE_LAWS["stiff"]()
+    tracemalloc.start()
+    try:
+        ph_sample(d, np.random.default_rng(0), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_sample_deterministic_under_seed():
