@@ -71,7 +71,9 @@ class IntegrationError(IphError):
 
 
 class DegenerateConditioningError(IphError):
-    """Conditioning on an event whose probability underflows to zero."""
+    """Conditioning a matrix-exponential (non-Markov) law on X > u where
+    P(X > u) is not above 1e-300.  A Markov law takes its conditioned
+    start from the anchored walk and has no such floor."""
 
 
 class UnsupportedRepresentationError(IphError):

@@ -243,8 +243,10 @@ def iph_cdf(d: IPHDist, x):
 def iph_overshoot(d: IPHDist, s: float) -> IPHDist:
     """Law of tau - s given tau > s: again inhomogeneous phase-type.
 
-    The new start vector is pi e^{R(s)T} renormalized, and the rate is
-    shifted to u -> rate(s+u).
+    The new start vector is pi e^{R(s)T} renormalized
+    (``phcore._condition``: a Markov base has no floor on its survival at
+    s, an ME base needs it above 1e-300), and the rate is shifted to
+    u -> rate(s+u).
     """
     s = float(s)
     if s < 0:

@@ -40,8 +40,13 @@ ulp).  Every point then pays a window of the same short depth, 20 terms
 (the Chernoff bound puts the Poisson(delta < 1) tail below e^-40), unless
 the stated bound on its dropped terms asks for a deeper one
 (``_window_groups``): coefficients that grow with k, as for an Erlang law
-whose exit lies many steps away, get them.  Nothing under- or overflows:
-the log of a density far below the float range comes out finite.
+whose exit lies many steps away, get them.  Nothing under- or overflows
+short of one limit, so the log of a density far below the float range
+comes out finite: far out on a long chain the squarings themselves
+underflow (Erlang(n, 1) past 256 times its mean at n = 20, 64 times at
+n = 40 and 60, 16 times at n = 100), and a point there is a DomainError.
+Conditioning a Markov law on X > u (``_condition``) takes its start
+vector pi e^{Tu} from the same walk.
 
 Quantiles, and the inverse primitives of ``iph``, come from one
 root-finder, ``_solve_increasing``, at about one evaluation per level
@@ -62,8 +67,8 @@ Sampling uses the same uniformization: X is Gamma(N, rate q), with the step
 count N drawn by inverse CDF on the survival rows pi P^n e from
 ``_nonneg_powers`` (see ``ph_sample``), so no jump chain is walked.
 
-Density, survival, quantiles and sampling of Markov laws run on numpy
-alone.  Of SciPy this module calls ``block_diag`` (in ``mixture_rep``) and
+Density, survival, quantiles, sampling and conditioning of Markov laws
+run on numpy alone.  Of SciPy this module calls ``block_diag`` (in ``mixture_rep``) and
 ``bsr_matrix`` (in ``_kept_rows``, for the E-step), each imported there.
 """
 
@@ -438,6 +443,7 @@ def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
     return out
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     """X e^{b (Y - I)} for every cell b, from the squarings of the step.
 
@@ -456,6 +462,11 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     every entry (four squarings past a rescale to a largest entry of
     one), so the sum of a product of up to nine of them, times X, lies in
     [e^{-511} sum X, n^72 sum X] for n <= 2 MAX_DIM.
+
+    Far out on a long chain the squarings themselves underflow (see
+    ``_unif_squarings``), and a product can sum to 0: a cell whose copy
+    did is a DomainError, "too far out", as a cell past 2^62 is in
+    ``_cells``.
     """
     r, n = X.shape
     l = min(len(squarings), max(int(cells.size).bit_length(), 4))
@@ -481,6 +492,10 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
             s = Y.sum(axis=(1, 2))
             out[sel] = Y / s[:, None, None]
             logs[sel] += np.log(s) + log_c
+    if not np.isfinite(logs).all():
+        b = cells[np.argmin(np.isfinite(logs))]
+        raise DomainError(f"anchor cell {b} is too far out: the squarings "
+                          "of the uniformized step underflow before it")
     return out, logs
 
 
@@ -608,44 +623,57 @@ def _window_groups(alpha, powers, v, delta, cell, kept=None):
         powers = _nonneg_powers(powers[1], K)
 
 
-# the powers and anchor squarings of the generator evaluated last: a
-# quantile solve evaluates one law a few dozen times on shrinking sets
-_last_setup = [None]
+# the powers and anchor squarings of the two generators evaluated last,
+# the latest first: a quantile solve evaluates one law a few dozen times on
+# shrinking sets, and a qq solve alternates its survival chain with the
+# cdf's augmented chain
+_setups = []
 
 
 def _unif_setup(T: np.ndarray, q: float, J: int):
     """(P^0..P^K, the anchor squarings j < J) for P = I + T / q; T may be
     any generator with row sums <= 0, the E-step's chain C among them."""
     key = (T.tobytes(), q)
-    last = _last_setup[0]
-    if last is None or last[0] != key or len(last[2]) < J:
+    hit = next((s for s in _setups if s[0] == key and len(s[2]) >= J), None)
+    if hit is None:
         powers = _nonneg_powers(np.eye(T.shape[0]) + T / q, _STEP_DEPTH)
         u = np.maximum(-T.sum(axis=1), 0.0) / q
-        last = _last_setup[0] = (key, powers, _unif_squarings(powers, u, J))
-    return last[1], last[2][:J]
+        hit = (key, powers, _unif_squarings(powers, u, J))
+    _setups[:] = [hit] + [s for s in _setups if s[0] != key][:1]
+    return hit[1], hit[2][:J]
+
+
+def _anchored(pi, T, xs):
+    """(r, P^0..P^K, alpha, log s, cell, delta) for ascending xs: the anchor
+    rows alpha_b = pi e^{T b/q} / s_b, each summing to one, of the cells
+    (``_cells``) at q = _unif_rate(T), on the states r pi reaches (None
+    for all of them; see ``_reached``), walked by ``_walk``."""
+    r = _reached(pi, T)
+    if r is not None:
+        pi, T = pi[r], T[np.ix_(r, r)]
+    q = _unif_rate(T)
+    cells, cell, delta = _cells(xs, q)
+    powers, squarings = _unif_setup(T, q, int(cells[-1]).bit_length() if cells.size else 0)
+    R, logs = _walk(pi[None, :], cells, squarings)
+    return r, powers, R[:, 0], logs, cell, delta
 
 
 def _unif_action(pi, T, v, xs, log=False):
     """Uniformization series for pi e^{Tx} v (v >= 0), or its log.
 
-    A point at q x = b + delta takes pi e^{Tx} = s_b alpha_b e^{T delta/q}:
-    the anchor row alpha_b = pi e^{T b/q} / s_b of its cell, scaled to sum
-    to one, comes from ``_walk``, which carries log s_b, and the window
-    series sum_k Pois(k; delta) alpha_b P^k v from ``_window_groups``.  No
-    row or sum under- or overflows, so the log is finite wherever the
-    value is positive.  The terms are nonnegative for Markov generators.
-    States pi never reaches are cut first.
+    A point at q x = b + delta takes pi e^{Tx} = s_b alpha_b e^{T delta/q},
+    the anchor row alpha_b of its cell and log s_b from ``_anchored``, and
+    the window series sum_k Pois(k; delta) alpha_b P^k v from
+    ``_window_groups``.  No row or sum under- or overflows, so the log is
+    finite wherever the value is positive.  The terms are nonnegative for
+    Markov generators.
     """
-    r = _reached(pi, T)
-    if r is not None:
-        pi, T, v = pi[r], T[np.ix_(r, r)], v[r]
-    q = _unif_rate(T)
     order = np.argsort(xs)
-    cells, cell, delta = _cells(xs[order], q)
-    powers, squarings = _unif_setup(T, q, int(cells[-1]).bit_length() if cells.size else 0)
-    R, logs = _walk(pi[None, :], cells, squarings)
+    r, powers, alpha, logs, cell, delta = _anchored(pi, T, xs[order])
+    if r is not None:
+        v = v[r]
     out = np.empty(xs.size)
-    for sub, _, f, done, _ in _window_groups(R[:, 0], powers[: _WINDOW_DEPTH + 1], v, delta, cell):
+    for sub, _, f, done, _ in _window_groups(alpha, powers[: _WINDOW_DEPTH + 1], v, delta, cell):
         i, at = order[sub], cell[sub]
         if not done.all():
             i, at, f = i[done], at[done], f[done]
@@ -737,23 +765,27 @@ def ph_log_moment(d: PHDist) -> float:
 def _condition(base: PHDist, u: float, where: str) -> PHDist:
     """Law of X - u given X > u: start vector pi e^{Tu}, renormalized.
 
-    ``where`` names the caller's conditioning point in the errors raised
-    when u is not finite or P(X > u) underflows.
+    A Markov law takes it from ``_anchored``: the anchor row of u's cell
+    times its Poisson(delta) window over P^0..P^K, K = _WINDOW_DEPTH (the
+    dropped tail is below e^-40 of the row's sum), put back over the
+    reached states, so no survival is too small to condition on.  An ME law takes pi mat_exp(T u), and raises
+    DegenerateConditioningError where P(X > u) is not above 1e-300.
+    ``where`` names the caller's conditioning point in the errors raised.
     """
     if not math.isfinite(u):
         raise DomainError(f"conditioning at {where} needs a finite point, got {u}")
+    if base.markov:
+        r, powers, alpha, _, _, delta = _anchored(base.pi, base.T, np.array([u]))
+        row = _window_rows(delta, _WINDOW_DEPTH)[0] @ (alpha[0] @ powers[: _WINDOW_DEPTH + 1])
+        row = row if r is None else np.bincount(r, weights=row, minlength=base.dim)
+        return PHDist(row / row.sum(), base.T, base.exit, True, base.close)
     alpha = base.pi @ mat_exp(base.T * u)
     denom = float(alpha @ base.close)
     if not (denom > 1e-300):
         raise DegenerateConditioningError(
             f"survival at {where} is {denom:.3e}; conditioning is degenerate"
         )
-    alpha = alpha / denom
-    if base.markov:
-        alpha = np.maximum(alpha, 0.0)
-        alpha /= alpha.sum()
-        return ph_new(alpha, base.T, markov=True)
-    return ph_new(alpha, base.T, markov=False, exit=base.exit)
+    return ph_new(alpha / denom, base.T, markov=False, exit=base.exit)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +808,7 @@ def _solve_increasing(h, c: np.ndarray, x0: float, fail: Exception, rel_tol: flo
     log2 m passes more.  The first pass reaches further down than up:
     points far above x0 cost the kernel many anchor cells, and there its
     squarings lose long Erlang chains (the survival function of
-    Erlang(40, 3) is NaN at 60 times its mean).  Nothing limits the
+    Erlang(40, 3) is a DomainError at 60 times its mean).  Nothing limits the
     ladder but the float range, 2^-1074 to 2^(1024 - 1/_GRID_PER_OCTAVE);
     ``fail`` is raised once a side that still falls short has reached its
     end.

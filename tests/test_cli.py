@@ -488,3 +488,25 @@ def test_cold_start_loads_scipy_only_where_a_command_needs_it(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "fit" / "params.json").exists()
+
+
+_CONDITIONING = """
+import sys
+from iphfit.families import ParetoExp, mp_conditional_excess, tph_new
+from iphfit.iph import iph_new, iph_overshoot, power_rate
+from iphfit.phcore import erlang_rep
+
+mp_conditional_excess(tph_new(erlang_rep(3, 2.0), ParetoExp()), 50.0)
+iph_overshoot(iph_new(erlang_rep(3, 1.0), power_rate(2.0)), 4.0)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_conditioning_a_markov_law_loads_no_scipy():
+    # a Markov law's conditioned start vector comes from the anchored walk
+    src = os.path.dirname(os.path.dirname(iphfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _CONDITIONING], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -428,9 +428,24 @@ def test_conditional_excess_threshold_stability():
 
 
 def test_conditional_excess_degenerate_conditioning():
-    d = tph_new(erlang_rep(1, 5.0), ParetoExp(beta=None))
+    # the ME representation of Exp(5): its e^{Tu} leaves the float range;
+    # the Markov one conditions there (test_markov_excess_has_no_underflow_floor)
+    d = tph_new(ph_new([1.0], [[-5.0]], markov=False), ParetoExp(beta=None))
     with pytest.raises(DegenerateConditioningError, match="threshold 1e\\+200"):
         mp_conditional_excess(d, 1e200)
+
+
+def test_markov_excess_has_no_underflow_floor():
+    # Exp(5) under the Pareto map has survival (1 + y / c)^-5, so its
+    # excess over x is the same law at scale c + x, though its survival at
+    # x = 1e200 is below the float range
+    d = tph_new(erlang_rep(1, 5.0), ParetoExp(beta=None))
+    x = 1e200
+    exc = mp_conditional_excess(d, x)
+    c = d.transform.scale(d.mu) + x
+    assert exc.base.pi.tolist() == [1.0]
+    ts = np.array([1e199, 1e200, 1e201])
+    np.testing.assert_allclose(tph_sf(exc, ts), (1.0 + ts / c) ** -5.0, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])

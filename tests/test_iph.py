@@ -269,9 +269,24 @@ def test_overshoot_composition():
 
 
 def test_overshoot_degenerate_conditioning():
-    d = iph_new(erlang_rep(1, 1.0), power_rate(2.0))
+    # the ME representation of Exp(1); the Markov one conditions there
+    # (test_markov_overshoot_has_no_underflow_floor)
+    d = iph_new(ph_new([1.0], [[-1.0]], markov=False), power_rate(2.0))
     with pytest.raises(DegenerateConditioningError, match="level 1000000.0"):
         iph_overshoot(d, 1e6)
+
+
+def test_markov_overshoot_has_no_underflow_floor():
+    # Exp(1) at rate 2t: the overshoot past s keeps the start (1) and
+    # survives u with e^{-(2 s u + u^2)}, though e^{-s^2} is below the
+    # float range at s = 1e6.  The shifted primitive (s + u)^2 - s^2 loses
+    # up to one ulp of 1e12 (2^-13) in the exponent to cancellation
+    s = 1e6
+    over = iph_overshoot(iph_new(erlang_rep(1, 1.0), power_rate(2.0)), s)
+    assert over.base.pi.tolist() == [1.0]
+    us = np.array([1e-7, 1e-6, 1e-5])
+    np.testing.assert_allclose(iph_sf(over, us), np.exp(-(2.0 * s * us + us * us)),
+                               rtol=2.0**-12, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -327,11 +328,30 @@ def test_evaluation_does_not_depend_on_earlier_calls(monkeypatch):
     # exactly what a fresh setup computes
     d = ph_new([0.5, 0.5], [[-100.0, 99.0], [0.0, -0.01]])
     xs = np.array([0.01, 1.0, 3.0, 10.0])
-    monkeypatch.setattr(phcore, "_last_setup", [None])
+    monkeypatch.setattr(phcore, "_setups", [])
     fresh = ph_sf(d, xs), ph_pdf(d, xs)
     ph_sf(d, np.array([50000.0]))
     assert np.array_equal(ph_sf(d, xs), fresh[0])
     assert np.array_equal(ph_pdf(d, xs), fresh[1])
+
+
+def test_survival_and_cdf_chains_keep_their_setups(monkeypatch):
+    # a qq solve alternates the survival chain with the cdf's augmented
+    # chain; both setups are kept, so going back builds none (the law is
+    # this test's own, so no earlier call has kept it)
+    builds = [0]
+    squarings = phcore._unif_squarings
+
+    def counting(*args):
+        builds[0] += 1
+        return squarings(*args)
+
+    monkeypatch.setattr(phcore, "_unif_squarings", counting)
+    d = ph_new([0.3, 0.7], [[-2.5, 1.25], [0.5, -1.5]])
+    xs = np.array([0.5, 2.0, 7.0])
+    for f in (ph_sf, ph_cdf, ph_sf):
+        f(d, xs)
+    assert builds[0] == 2
 
 
 def test_eval_rejects_bad_arguments():
@@ -578,8 +598,8 @@ def test_quantile_reaches_extreme_levels_in_few_passes(n, monkeypatch):
 @pytest.mark.parametrize("n", [40, 100])
 def test_quantile_of_a_long_erlang_chain_stays_where_the_kernel_is_finite(n):
     # the kernel's squarings lose long chains far out (ph_sf of Erlang(40, 3)
-    # is NaN at 60 times its mean), so the ladder must not reach that far
-    # above the mean for levels that lie near it
+    # is a DomainError at 60 times its mean), so the ladder must not reach
+    # that far above the mean for levels that lie near it
     qs = np.array([0.01, 0.5, 0.99])
     x = ph_quantile(erlang_rep(n, 1.0), qs)
     assert gammainc(n, x) == pytest.approx(qs, rel=1e-9)
@@ -805,6 +825,27 @@ def test_a_point_past_the_cell_range_is_a_domain_error(x):
             f(d, [x])
 
 
+@pytest.mark.parametrize("n, lam, x", [
+    (40, 3.0, 800.0), (20, 1.0, 256 * 20.0), (40, 1.0, 64 * 40.0), (60, 1.0, 64 * 60.0),
+    (100, 1.0, 16 * 100.0)])
+def test_a_point_past_where_the_squarings_underflow_is_a_domain_error(n, lam, x):
+    # far out on a long Erlang chain the squarings of the step underflow
+    # and the walk's product sums to 0, which gave 0/0; at half the
+    # distance the log survival still matches the gamma law
+    import mpmath
+
+    d = erlang_rep(n, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (ph_pdf, ph_sf):
+            with pytest.raises(DomainError, match="too far out"):
+                f(d, x)
+        got = phcore._unif_action(d.pi, d.T, d.close, np.array([x / 2]), log=True)[0]
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.gammainc(n, lam * x / 2, mpmath.inf, regularized=True)))
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("x", [1.0, 800.0, 1e4])
 def test_me_log_density_of_one_phase_is_exact_past_underflow(x):
     d = ph_new([1.0], [[-1.0]], markov=False)
@@ -848,3 +889,32 @@ def test_one_phase_law_through_the_kernel_is_the_exponential(lam):
     sf = np.exp(-lam * xs)
     np.testing.assert_allclose(ph_sf(d, xs), sf, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(ph_pdf(d, xs), lam * sf, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# conditioning
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("u, rel", [(800.0, 1e-12), (1e5, 1e-10)])
+def test_conditioning_an_erlang_law_past_underflow(u, rel):
+    # Erlang(3, 1) given X > u starts in phase i with weight u^i / i!,
+    # though its survival at u is below the float range
+    alpha = phcore._condition(erlang_rep(3, 1.0), u, f"u = {u}").pi
+    want = np.array([1.0, u, u * u / 2])
+    np.testing.assert_allclose(alpha, want / want.sum(), rtol=rel, atol=0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(d=markov_laws(), far=st.floats(1.0, 4.0),
+       zs=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
+def test_conditioned_survival_is_the_ratio_of_log_tails(d, far, zs):
+    # u lies one to four times as far out as the point where S(u) = 1e-300,
+    # and z up to 20 conditioned means beyond it.  Both logs reach a few
+    # thousand, where a few ulp of each is about 1e-12 of the ratio; the
+    # worst of 300 examples was 7e-13, so 1e-10 relative
+    u = far * float(phcore._tail_points(d, np.array([1e-300]), True)[0])
+    cond = phcore._condition(d, u, f"u = {u}")
+    z = ph_mean(cond) * np.array(zs)
+    log_sf = lambda x: phcore._unif_action(d.pi, d.T, d.close, x, log=True)
+    want = np.exp(log_sf(u + z) - log_sf(np.array([u])))
+    np.testing.assert_allclose(ph_sf(cond, z), want, rtol=1e-10, atol=0.0)
