@@ -52,7 +52,7 @@ from .families import (
 from .iph import inverse_linear_rate, iph_new, iph_sf, path_new, product_integral, rate_function
 from .matfun import mat_exp
 from .modelio import load_model, model_mean, save_model
-from .phcore import erlang_rep, ph_pdf, ph_quantile, ph_sample
+from .phcore import erlang_rep, ph_new, ph_pdf, ph_quantile, ph_sample
 
 __all__ = ["RunConfig", "ingest_csv", "auto_shift", "run_fit", "eval_cmd", "main"]
 
@@ -343,6 +343,12 @@ def _oracle_checks() -> list[tuple[str, bool]]:
     root = rate_function(lambda t: 0.5 / np.sqrt(t), primitive=np.sqrt)
     checks.append(("solver inverse primitive",
                    bool(np.max(np.abs(root.inverse_at(ys) / ys**2 - 1.0)) < 1e-10)))
+    # density (101/100) e^{-x} (1 - cos 10x): (101/50) e^{-x} at x = pi/10
+    me = ph_new([101.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-101.0, -103.0, -3.0]],
+                markov=False, exit=[0.0, 0.0, 1.0])
+    x = math.pi / 10.0
+    checks.append(("matrix-exponential density",
+                   abs(ph_pdf(me, x) / (101.0 / 50.0 * math.exp(-x)) - 1.0) < 1e-10))
     return checks
 
 

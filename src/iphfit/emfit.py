@@ -83,9 +83,9 @@ from .phcore import (
     _WINDOW_DEPTH,
     PHDist,
     _cells,
-    _exp_action,
     _kept_rows,
     _reached,
+    _unif_action,
     _unif_rate,
     _unif_setup,
     _walk,
@@ -174,10 +174,10 @@ def _check_data(data) -> np.ndarray:
 def ph_loglik(d: PHDist, data) -> float:
     """Sum of log densities; -inf if any point has zero density.
 
-    Markov laws take the logs from the anchored uniformization windows, so
+    Every law takes the logs from the anchored uniformization windows, so
     a far point whose density is below the float range still counts.
     """
-    return float(np.sum(_exp_action(d, _check_data(data), d.exit, log=True)))
+    return float(np.sum(_unif_action(d.pi, d.T, d.exit, _check_data(data), log=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,26 +17,28 @@ not phase-type are admitted under ``markov=False`` with weak, grid-based
 validation; for those the exit vector may be supplied explicitly (the
 textbook oscillating-density example needs this).
 
-Evaluation over arrays is routed through one of three backends:
-positive-series uniformization for Markov generators of any order (no
-cancellation, preserves relative accuracy; the distribution function is a
-positive series of its own), and for non-Markov representations an
-eigen-decomposition, with per-point matrix exponentials when the
-eigenvectors are ill-conditioned.
-
-Uniformization is anchored, one kernel shared with the EM E-step.  It runs
+Every law is evaluated by one kernel, anchored uniformization, shared
+with the EM E-step; only its step depends on T (``_anchored``).  It runs
 on the states pi reaches (``_reached``): a state it never reaches adds
 nothing, and left in, a slow one would set the scale of every squaring.
-With q just above the largest exit rate (``_unif_rate``) and P = I + T/q,
-a point at q x = b + delta lies in the anchor cell b = floor(q x), at an
-offset delta < 1, and
+The Markov step, for every T that passes the sign rules of a
+sub-intensity matrix: with q just above the largest exit rate
+(``_unif_rate``) and P = I + T/q, a point at q x = b + delta lies in the
+anchor cell b = floor(q x), at an offset delta < 1, and
 
     pi e^{Tx} v = s_b sum_k Pois(k; delta) alpha_b P^k v,
 
 with the anchor row alpha_b = pi e^{T b/q} / s_b scaled to sum to one and
 log s_b kept beside it (``_walk``, over the squarings of the step
 e^{T/q} from ``_unif_squarings``, which keep a slow decay exact to a few
-ulp).  Every point then pays a window of the same short depth, 20 terms
+ulp).  Every term is nonnegative, so nothing cancels and the value keeps
+its relative accuracy; the distribution function is a positive series of
+its own.  The Taylor step, for any other T (matrix-exponential laws):
+T = D B D^-1 balanced by ``scipy.linalg.matrix_balance``, and the same
+series on P = B/q at q = ||B||_inf, so ||P||_inf <= 1, with each point's
+log scale raised by q x.  Its terms are signed, and its relative error
+grows as about q x eps times the conditioning of the representation.
+Every point then pays a window of the same short depth, 20 terms
 (the Chernoff bound puts the Poisson(delta < 1) tail below e^-40), unless
 the stated bound on its dropped terms asks for a deeper one
 (``_window_groups``): coefficients that grow with k, as for an Erlang law
@@ -68,8 +70,10 @@ count N drawn by inverse CDF on the survival rows pi P^n e from
 ``_nonneg_powers`` (see ``ph_sample``), so no jump chain is walked.
 
 Density, survival, quantiles, sampling and conditioning of Markov laws
-run on numpy alone.  Of SciPy this module calls ``block_diag`` (in ``mixture_rep``) and
-``bsr_matrix`` (in ``_kept_rows``, for the E-step), each imported there.
+run on numpy alone.  Of SciPy this module calls ``block_diag`` (in
+``mixture_rep``), ``bsr_matrix`` (in ``_kept_rows``, for the E-step) and
+``matrix_balance`` (in ``_anchored``, for the Taylor step), each imported
+there; conditioning a matrix-exponential law takes ``matfun.mat_exp``.
 """
 
 from __future__ import annotations
@@ -244,7 +248,7 @@ def ph_new(pi, T, markov: bool = True, exit=None) -> PHDist:
     # weak validation: nonnegative density on a grid reaching far into the tail
     decay = float(np.max(eigs.real))
     grid = np.linspace(0.0, np.log(1e12) / -decay, 1024)
-    dens = _exp_action(d, grid, t)
+    dens = _unif_action(pi, T, t, grid)
     floor = -1e-10 * max(1.0, float(np.max(np.abs(dens))))
     if np.min(dens) < floor:
         x_bad = grid[int(np.argmin(dens))]
@@ -302,34 +306,6 @@ def mixture_rep(weights, components) -> PHDist:
 # evaluation backends
 # ---------------------------------------------------------------------------
 
-def _exp_action(d: PHDist, xs: np.ndarray, v: np.ndarray, log: bool = False) -> np.ndarray:
-    """pi e^{Tx} v for an array of nonnegative x, or its log (-inf where
-    the value is not positive).
-
-    For ME laws the log factors e^{rho x} out of the eigen sum, or out of
-    each point's e^{Tx}, rho the largest real part of T's eigenvalues:
-    where the slowest terms carry weight the rest stays in the float
-    range, so the log of a value far below it is finite.
-    """
-    xs = np.asarray(xs, dtype=float)
-    pi, T = d.pi, d.T
-    if d.markov:
-        return _unif_action(pi, T, v, xs, log)
-    with np.errstate(divide="ignore"):
-        vals, V = np.linalg.eig(T)
-        rho = float(np.max(vals.real))
-        if np.linalg.cond(V) < 1e7:
-            w = (pi @ V) * np.linalg.solve(V, v.astype(complex))
-            if log:
-                vals = vals - rho
-            out = (np.exp(np.multiply.outer(xs, vals)) @ w).real
-        else:
-            if log:
-                T = T - rho * np.eye(d.dim)
-            out = np.array([float(pi @ mat_exp(T * x) @ v) for x in xs])
-        return np.log(np.maximum(out, 0.0)) + rho * xs if log else out
-
-
 def _unif_rate(T: np.ndarray) -> float:
     """Uniformization rate q, just above the largest exit rate, so that
     P = I + T / q is elementwise nonnegative."""
@@ -339,8 +315,10 @@ def _unif_rate(T: np.ndarray) -> float:
 def _nonneg_powers(X: np.ndarray, K: int, R0=None, vanished: float = 0.0) -> np.ndarray:
     """R0 X^0, ..., R0 X^K stacked, by doubling: about log2 K products, each
     of the blocks so far, stacked as rows, with the next square.  R0 is the
-    identity by default; for a nonnegative X and R0 the stack ends early,
-    after the doubling whose last block sums below ``vanished``."""
+    identity by default.  For a nonnegative X and R0 and ``vanished`` > 0
+    the stack ends early, after the doubling whose last block sums below
+    it; with ``vanished`` = 0 it runs to K, so X may be signed (the Taylor
+    step of ``_anchored``)."""
     n = X.shape[0]
     R0 = np.eye(n) if R0 is None else R0
     r = R0.shape[0]
@@ -352,7 +330,7 @@ def _nonneg_powers(X: np.ndarray, K: int, R0=None, vanished: float = 0.0) -> np.
         take = min(have, K + 1 - have)
         np.matmul(rows[: take * r], Xh, out=rows[have * r : (have + take) * r])
         have += take
-        if have > K or out[have - 1].sum() < vanished:
+        if have > K or (vanished > 0.0 and out[have - 1].sum() < vanished):
             return out[:have]
         Xh = Xh @ Xh
 
@@ -397,9 +375,10 @@ def _cells(xs: np.ndarray, q: float = 1.0):
 def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
     """The anchor step e^{X - I} and its squarings e^{2^j (X - I)}, j < J.
 
-    ``powers`` stacks X^0..X^K for a nonnegative n x n X, K = _STEP_DEPTH,
-    and u = e - X e >= 0 is its row deficit.  The step is the Poisson(1)
-    mixture of those powers, every term nonnegative.  An entry reached in
+    ``powers`` stacks X^0..X^K for an n x n X, K = _STEP_DEPTH, and
+    u = e - X e >= 0 is its row deficit.  The step is the Poisson(1)
+    mixture of those powers; for a nonnegative X (the Markov step) every
+    term is nonnegative, and an entry reached in
     d <= 20 jumps keeps its relative accuracy: the paths dropped past K
     weigh about d! / (K + 1)! < 1e-17 of it.  Past n = 21 states the step
     is the 2^s-th power of the Poisson(2^-s) mixture instead, with 2^s
@@ -414,8 +393,12 @@ def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
     has its largest entry reset so that the row sums to 1 - d: the decay
     then stays within a few dozen ulp of exact over any number of
     squarings.  Returns [(A_j, log c_j)] with A^{2^j} = c_j A_j, rescaled
-    every fourth squaring once no row keeps half its mass; the list for a
-    smaller J is a prefix of it, so ``_unif_setup`` may keep the longest.
+    by its largest magnitude every fourth squaring once no row keeps half
+    its mass; the list for a smaller J is a prefix of it, so
+    ``_unif_setup`` may keep the longest.  Only a nonnegative step is reset:
+    a signed X (the Taylor step, ||X||_inf <= 1) has no deficit to keep,
+    and its squarings are rescaled from the first, their relative error
+    growing by about eps per squaring, doubled by each later one.
     """
     n = powers.shape[1]
     s = 0 if n <= 21 else (n - 1).bit_length() - 2
@@ -423,11 +406,12 @@ def _unif_squarings(powers: np.ndarray, u: np.ndarray, J: int):
     A = (w @ powers.reshape(w.size, -1)).reshape(n, n)
     d = tail @ (powers[:-1] @ u)
     rows = np.arange(n)
+    nonneg = (powers[1] >= 0.0).all()
     log_c, out = 0.0, []
     for j in range(s + J):
         if j % 4 == 0:
-            big = A.max()
-            if log_c == 0.0 and big >= 0.5 / n:
+            big = np.abs(A).max()
+            if nonneg and log_c == 0.0 and big >= 0.5 / n:
                 top = np.argmax(A, axis=1)
                 reset = 1.0 - d - (A.sum(axis=1) - A[rows, top])
                 A[rows, top] = np.where(d <= 0.5, reset, A[rows, top])
@@ -452,8 +436,9 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     (at least 16); the copy of each cell's entry is then multiplied by the
     squaring j for each higher bit j set in b, so a sparse set of far
     cells costs one product per bit, not one per cell passed.  Every
-    product is rescaled to entries summing to one; returns (copies, log
-    scales), the copies stacked as (cells, *X.shape).
+    product is rescaled to absolute values summing to one (its entries,
+    for a nonnegative X and step); returns (copies, log scales), the
+    copies stacked as (cells, *X.shape).
 
     The table's first _RAW_LEVELS levels are rescaled once, after the last
     of them.  Their products stay in range: each squaring A_j is at least
@@ -461,7 +446,11 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
     rescale divides by a largest entry below one) and at most n^7 in
     every entry (four squarings past a rescale to a largest entry of
     one), so the sum of a product of up to nine of them, times X, lies in
-    [e^{-511} sum X, n^72 sum X] for n <= 2 MAX_DIM.
+    [e^{-511} sum X, n^72 sum X] for n <= 2 MAX_DIM.  A signed X or step
+    (a matrix-exponential law's) has no such floor: a product may shrink
+    by up to the condition number of e^{2^j (Y - I)}, at most e^{2^{j+1}}
+    for ||Y||_inf <= 1, and at most e^{2^j} cond(V)^2 for a Y = V L V^-1
+    whose spectrum has real parts in [-1, 0], as an ME law's step does.
 
     Far out on a long chain the squarings themselves underflow (see
     ``_unif_squarings``), and a product can sum to 0: a cell whose copy
@@ -480,7 +469,7 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
         if j >= min(l, _RAW_LEVELS) - 1:
             # every product so far after the last raw level, then each new half
             lo = 1 if j == min(l, _RAW_LEVELS) - 1 else h
-            s = low[lo : 2 * h].reshape(2 * h - lo, -1).sum(axis=1)
+            s = np.abs(low[lo : 2 * h]).reshape(2 * h - lo, -1).sum(axis=1)
             low[lo : 2 * h] /= s[:, None, None]
             low_logs[lo : 2 * h] += np.log(s)
     rest = cells & ((1 << l) - 1)
@@ -489,7 +478,7 @@ def _walk(X: np.ndarray, cells: np.ndarray, squarings):
         sel = np.flatnonzero((cells >> j) & 1)
         if sel.size:
             Y = (np.take(out, sel, axis=0).reshape(-1, n) @ A).reshape(sel.size, r, n)
-            s = Y.sum(axis=(1, 2))
+            s = np.abs(Y).sum(axis=(1, 2))
             out[sel] = Y / s[:, None, None]
             logs[sel] += np.log(s) + log_c
     if not np.isfinite(logs).all():
@@ -552,9 +541,11 @@ def _kept_rows(W: np.ndarray, delta: np.ndarray, cell: np.ndarray, m: int):
 def _window_groups(alpha, powers, v, delta, cell, kept=None):
     """Window sums f_i = sum_{k <= K} Pois(k; delta_i) alpha_{cell_i} P^k v.
 
-    ``alpha`` holds one anchor row per cell (each summing to one); P^k is
-    the top-left block, as wide as alpha, of X^k, where ``powers`` stacks
-    X^0..X^K at K = _WINDOW_DEPTH; and v >= 0.  The points go in depth
+    ``alpha`` holds one anchor row per cell (absolute values summing to
+    one); P^k is the top-left block, as wide as alpha, of X^k, where
+    ``powers`` stacks X^0..X^K at K = _WINDOW_DEPTH, and ||X||_inf <= 1.
+    alpha, X and v are nonnegative for a Markov law, signed for the Taylor
+    step of a matrix-exponential one.  The points go in depth
     groups.  Yields (sub, W, f, done, powers) per group: its points (a
     slice, then ascending indices), their Poisson rows W over k = 0..K,
     the sums f, which of them are final, and X^0..X^K.  The first group is
@@ -570,27 +561,29 @@ def _window_groups(alpha, powers, v, delta, cell, kept=None):
     take one dense product and a row-wise dot: a C-ordered copy and a
     sparse view of them would cost twice that or more (at 5000 points).
 
-    Depth bound: P is substochastic, so every later coefficient
-    alpha P^k v (k > K) is at most S_K max(v), with S_K = alpha P^K e, and
-    the Poisson tail past K is at most Pois(K; delta) delta / K, since
-    each term is at most delta / (K + 1) times the one before.  A sum is
-    done once that bound on what it drops is at most 2^-53 of it.  The
-    tail leaves the float range before K = 171, so the depth stays below
-    320.  On a kept table one test per cell settles it first: every sum
-    has f_i >= Pois(0; delta_i) alpha_b v > 0.36 alpha_b v, so a cell
-    whose largest tail factor passes against 0.36 alpha_b v has every
-    point done, exactly as the test point by point would find.
+    Depth bound: it needs only ||P||_inf <= 1, so every later coefficient
+    alpha P^k v (k > K) is at most S_K max|v| in magnitude, with
+    S_K = |alpha| |P^K| e, and the Poisson tail past K is at most
+    Pois(K; delta) delta / K, since each term is at most delta / (K + 1)
+    times the one before.  A sum is done once that bound on what it drops
+    is at most 2^-53 of |f|.  The tail leaves the float range before
+    K = 171, so the depth stays below 320, even where a signed sum is 0.
+    On a kept table (the E-step's, nonnegative) one test per cell settles
+    it first: every sum has f_i >= Pois(0; delta_i) alpha_b v >
+    0.36 alpha_b v, so a cell whose largest tail factor passes against
+    0.36 alpha_b v has every point done, exactly as the test point by
+    point would find.
     """
     if not delta.size:
         return
     p = alpha.shape[1]
-    vmax = float(v.max())
+    vmax = float(np.abs(v).max())
     K = _WINDOW_DEPTH
     idx = None  # the group's points; None for all of them, the first group
     while True:
         Pk = powers[:, :p, :p]
         cols = Pk @ v  # P^k v, k = 0..K, as rows
-        reach = alpha @ (Pk[K].sum(axis=1) * (vmax / K))
+        reach = np.abs(alpha) @ (np.abs(Pk[K]).sum(axis=1) * (vmax / K))
         if kept is not None:
             W, tail, Z, tail_max = kept
             coef = alpha @ cols.T  # alpha_b P^k v, one row per cell
@@ -613,7 +606,7 @@ def _window_groups(alpha, powers, v, delta, cell, kept=None):
                 at = cell[sub]
                 f = np.einsum("ij,ij->i", W @ cols, np.take(alpha, at, axis=0))
                 # NaN compares false, so it never asks for a deeper series
-                deep = W[:, K] * delta[sub] * np.take(reach, at) > _EPS * f
+                deep = W[:, K] * delta[sub] * np.take(reach, at) > _EPS * np.abs(f)
                 yield sub, W, f, ~deep, powers
                 deeper.append(lo + np.flatnonzero(deep) if idx is None else sub[deep])
         idx = np.concatenate(deeper)
@@ -632,7 +625,8 @@ _setups = []
 
 def _unif_setup(T: np.ndarray, q: float, J: int):
     """(P^0..P^K, the anchor squarings j < J) for P = I + T / q; T may be
-    any generator with row sums <= 0, the E-step's chain C among them."""
+    any generator with row sums <= 0, the E-step's chain C among them, or
+    B - q I with ||B||_inf = q, the Taylor step of ``_anchored``."""
     key = (T.tobytes(), q)
     hit = next((s for s in _setups if s[0] == key and len(s[2]) >= J), None)
     if hit is None:
@@ -643,45 +637,66 @@ def _unif_setup(T: np.ndarray, q: float, J: int):
     return hit[1], hit[2][:J]
 
 
-def _anchored(pi, T, xs):
-    """(r, P^0..P^K, alpha, log s, cell, delta) for ascending xs: the anchor
-    rows alpha_b = pi e^{T b/q} / s_b, each summing to one, of the cells
-    (``_cells``) at q = _unif_rate(T), on the states r pi reaches (None
-    for all of them; see ``_reached``), walked by ``_walk``."""
+def _anchored(pi, T, xs, v):
+    """(r, P^0..P^K, alpha, v, log scales, cell, delta) for ascending xs,
+    with pi e^{Tx} v = s_x sum_k Pois(k; delta) alpha_b P^k v at each point
+    x of cell b (``_cells`` at rate q), on the states r pi reaches (None for
+    all of them; see ``_reached``), and v cut to them.  The anchor rows
+    alpha_b, walked by ``_walk``, have absolute values summing to one; the
+    log scales log s_x are one per point.
+
+    The step comes from T.  T passing the sign rules of
+    ``check_sub_intensity`` (off-diagonal entries >= 0, row sums at most
+    1e-12 max(1, -min T_ii)), every Markov law's and the cdf's augmented
+    chain among them, takes the Markov step P = I + T/q at q =
+    _unif_rate(T).  Any other T takes the Taylor step: balanced as
+    T = D B D^-1 by ``scipy.linalg.matrix_balance``, D an exact power-of-two
+    diagonal, it runs on pi D and D^-1 v with P = B/q at q = ||B||_inf, so
+    that ||P||_inf <= 1, and adds q x to each point's log scale, since
+    e^{Bx} = e^{qx} e^{qx (P - I)}.
+    """
     r = _reached(pi, T)
     if r is not None:
-        pi, T = pi[r], T[np.ix_(r, r)]
-    q = _unif_rate(T)
+        pi, T, v = pi[r], T[np.ix_(r, r)], v[r]
+    diag = T.diagonal()
+    markov_step = (np.count_nonzero(T < 0.0) == np.count_nonzero(diag < 0.0)
+                   and T.sum(axis=1).max() <= 1e-12 * max(1.0, -diag.min()))
+    if markov_step:
+        q = _unif_rate(T)
+    else:
+        from scipy.linalg import matrix_balance
+
+        B, (scale, _) = matrix_balance(T, permute=False, separate=True)
+        q = float(np.abs(B).sum(axis=1).max())
+        pi, T, v = pi * scale, B - q * np.eye(B.shape[0]), v / scale
     cells, cell, delta = _cells(xs, q)
     powers, squarings = _unif_setup(T, q, int(cells[-1]).bit_length() if cells.size else 0)
     R, logs = _walk(pi[None, :], cells, squarings)
-    return r, powers, R[:, 0], logs, cell, delta
+    logs = logs[cell] if markov_step else logs[cell] + q * xs
+    return r, powers, R[:, 0], v, logs, cell, delta
 
 
 def _unif_action(pi, T, v, xs, log=False):
-    """Uniformization series for pi e^{Tx} v (v >= 0), or its log.
+    """pi e^{Tx} v over the points xs, or its log (-inf where the value is
+    not positive).
 
-    A point at q x = b + delta takes pi e^{Tx} = s_b alpha_b e^{T delta/q},
-    the anchor row alpha_b of its cell and log s_b from ``_anchored``, and
-    the window series sum_k Pois(k; delta) alpha_b P^k v from
-    ``_window_groups``.  No row or sum under- or overflows, so the log is
-    finite wherever the value is positive.  The terms are nonnegative for
-    Markov generators.
+    A point of anchor cell b at offset delta takes the log scale and the
+    anchor row alpha_b from ``_anchored`` and the window series
+    sum_k Pois(k; delta) alpha_b P^k v from ``_window_groups``, for the
+    Markov step and the Taylor step alike.  No row or sum under- or
+    overflows, so the log is finite wherever the value is positive.  For a
+    Markov law every term is nonnegative; a matrix-exponential law's terms
+    may cancel, and where its value is well conditioned the relative error
+    grows as about q x eps times the conditioning of its representation.
     """
     order = np.argsort(xs)
-    r, powers, alpha, logs, cell, delta = _anchored(pi, T, xs[order])
-    if r is not None:
-        v = v[r]
+    _, powers, alpha, v, logs, cell, delta = _anchored(pi, T, xs[order], v)
     out = np.empty(xs.size)
     for sub, _, f, done, _ in _window_groups(alpha, powers[: _WINDOW_DEPTH + 1], v, delta, cell):
-        i, at = order[sub], cell[sub]
+        i, s = order[sub], logs[sub]
         if not done.all():
-            i, at, f = i[done], at[done], f[done]
-        if log:
-            with np.errstate(divide="ignore"):
-                out[i] = np.log(f) + logs[at]
-        else:
-            out[i] = f * np.exp(logs)[at]
+            i, s, f = i[done], s[done], f[done]
+        out[i] = _log(f) + s if log else f * np.exp(s)
     return out
 
 
@@ -709,12 +724,12 @@ def _eval(x, action, clamp):
 
 def ph_pdf(d: PHDist, x):
     """Density pi e^{Tx} t at x >= 0 (scalar or array)."""
-    return _eval(x, lambda xs: _exp_action(d, xs, d.exit), (0.0, np.inf))
+    return _eval(x, lambda xs: _unif_action(d.pi, d.T, d.exit, xs), (0.0, np.inf))
 
 
 def ph_sf(d: PHDist, x):
     """Survival probability P(X > x)."""
-    return _eval(x, lambda xs: _exp_action(d, xs, d.close), (0.0, 1.0))
+    return _eval(x, lambda xs: _unif_action(d.pi, d.T, d.close, xs), (0.0, 1.0))
 
 
 def ph_cdf(d: PHDist, x):
@@ -775,7 +790,7 @@ def _condition(base: PHDist, u: float, where: str) -> PHDist:
     if not math.isfinite(u):
         raise DomainError(f"conditioning at {where} needs a finite point, got {u}")
     if base.markov:
-        r, powers, alpha, _, _, delta = _anchored(base.pi, base.T, np.array([u]))
+        r, powers, alpha, _, _, _, delta = _anchored(base.pi, base.T, np.array([u]), base.close)
         row = _window_rows(delta, _WINDOW_DEPTH)[0] @ (alpha[0] @ powers[: _WINDOW_DEPTH + 1])
         row = row if r is None else np.bincount(r, weights=row, minlength=base.dim)
         return PHDist(row / row.sum(), base.T, base.exit, True, base.close)

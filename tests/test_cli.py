@@ -410,9 +410,10 @@ def test_main_oracle_check(capsys):
     assert main(["oracle-check"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 7
+    assert len(lines) >= 8
     assert all(ln.startswith("PASS") for ln in lines)
-    assert {"PASS  exponential quantiles", "PASS  solver inverse primitive"} <= set(lines)
+    assert {"PASS  exponential quantiles", "PASS  solver inverse primitive",
+            "PASS  matrix-exponential density"} <= set(lines)
 
 
 def test_config_file_merge(tmp_path, capsys):

@@ -260,6 +260,15 @@ def test_overshoot_rejects_a_non_finite_level(s):
             iph_overshoot(d, s)
 
 
+def test_overshoot_at_a_negative_level_is_a_domain_error_and_at_zero_the_law():
+    d = iph_new(erlang_rep(2, 1.0), inverse_linear_rate(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="nonnegative"):
+            iph_overshoot(d, -1.0)
+        assert iph_overshoot(d, 0.0) is d
+
+
 def test_overshoot_composition():
     d = iph_new(erlang_rep(2, 1.0), inverse_linear_rate(1.0))
     one = iph_overshoot(iph_overshoot(d, 0.8), 1.4)
@@ -374,6 +383,16 @@ def test_product_integral_identities_and_errors():
     assert np.array_equal(product_integral(path, 1.0, 1.0), np.eye(2))
     with pytest.raises(DomainError):
         product_integral(path, 2.0, 1.0)
+
+
+def test_product_integral_of_a_growing_path_is_not_sub_stochastic():
+    # T = [[1]] is no sub-intensity matrix: its product integral e^1 has a
+    # row sum above one
+    path = iph.MatrixRatePath(lambda t: np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="not sub-stochastic"):
+            product_integral(path, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc
@@ -624,6 +624,16 @@ def test_quantile_stops_at_a_bracket_no_float_can_split(q, rel_tol, monkeypatch)
     assert x == pytest.approx(-math.log1p(-q), rel=2.0**-52, abs=2.0**-1074)
 
 
+@pytest.mark.parametrize("lam, q", [(1e-308, 1 - 2**-53), (1e300, 1e-300)])
+def test_quantile_past_the_float_range_is_a_domain_error(lam, q):
+    # the root lies beyond the largest float, or below the smallest: the
+    # ladder reaches the end of the float range and still falls short
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="quantile bracket did not close"):
+            ph_quantile(erlang_rep(1, lam), q)
+
+
 def test_quantile_rejects_bad_levels():
     d = erlang_rep(1, 1.0)
     with pytest.raises(DomainError):
@@ -855,9 +865,9 @@ def test_me_log_density_of_one_phase_is_exact_past_underflow(x):
 @pytest.mark.parametrize("x", [3.0, 800.0, 5000.0])
 @pytest.mark.parametrize("law", ["hypoexponential", "erlang"])
 def test_me_far_log_density_matches_mpmath_expm(law, x):
-    # the eigen route (distinct rates 1 and 2, pi = (2, -1)) and the
-    # per-point e^{Tx} route (a defective Jordan block); both densities
-    # underflow past x = 745, where the log of the plain sum is -inf
+    # a signed start (distinct rates 1 and 2, pi = (2, -1)) and a
+    # defective Jordan block; both densities underflow past x = 745,
+    # where the log of the plain sum is -inf
     if law == "hypoexponential":
         d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
     else:
@@ -872,13 +882,104 @@ def test_me_far_log_density_matches_mpmath_expm(law, x):
 
 
 def test_me_density_values_do_not_take_the_log_shift():
-    # the shift e^{rho x} is only factored out of the log
+    # the density 2e^{-x} - 2e^{-2x} of pi = (2, -1), T = diag(-1, -2): 0 at
+    # x = 0, below the float range at x = 800, and a few ulp of it between
     d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
     xs = np.array([0.0, 0.5, 3.0, 40.0, 800.0])
-    vals, V = np.linalg.eig(d.T)
-    w = (d.pi @ V) * np.linalg.solve(V, d.exit.astype(complex))
-    want = np.maximum((np.exp(np.multiply.outer(xs, vals)) @ w).real, 0.0)
-    assert np.array_equal(ph_pdf(d, xs), want)
+    got = ph_pdf(d, xs)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    want = 2.0 * np.exp(-xs[1:-1]) - 2.0 * np.exp(-2.0 * xs[1:-1])
+    np.testing.assert_allclose(got[1:-1], want, rtol=5e-14, atol=0.0)
+
+
+def _mp_pdf_sf(d, x, dps=50):
+    """pi e^{Tx} t and pi e^{Tx} (-T)^{-1} t from mpmath's expm, as mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        row = mpmath.matrix([d.pi.tolist()]) * mpmath.expm(mpmath.matrix(d.T.tolist()) * x)
+        return ((row * mpmath.matrix(d.exit.tolist()))[0],
+                (row * mpmath.matrix(d.close.tolist()))[0])
+
+
+def test_me_evaluation_takes_no_matrix_exponential(monkeypatch):
+    # a defective Jordan block and the companion fixture take the anchored
+    # kernel, with no matrix exponential and no eigenvectors
+    laws = [ph_new([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], markov=False), me_example()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ME evaluation called a matrix exponential or an eigensolver")
+
+    monkeypatch.setattr(phcore, "mat_exp", forbidden)
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    xs = np.linspace(0.0, 40.0, 2001)[1:]
+    for d in laws:
+        for f in (ph_pdf, ph_sf):
+            assert np.isfinite(f(d, xs)).all()
+        assert math.isfinite(ph_loglik(d, xs))
+    np.testing.assert_allclose(ph_pdf(laws[0], xs), xs * np.exp(-xs), rtol=1e-12, atol=0.0)
+
+
+def test_me_companion_fixture_matches_mpmath():
+    # density (101/100) e^{-x} (1 - cos 10x) on (0, 30]: its zeros make a
+    # relative error meaningless, so the pdf's is taken against the
+    # envelope 1.01 e^{-x}; the survival function has no zero.  Worst seen
+    # 3.6e-13 and 1.5e-13, so 1e-12
+    d = me_example()
+    xs = np.linspace(0.0, 30.0, 301)[1:]
+    want = np.array([[float(v) for v in _mp_pdf_sf(d, x, 40)] for x in xs])
+    env = 1.01 * np.exp(-xs)
+    assert np.max(np.abs(ph_pdf(d, xs) - want[:, 0]) / env) <= 1e-12
+    np.testing.assert_allclose(ph_sf(d, xs), want[:, 1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("law", ["hypoexponential", "jordan2", "jordan3"])
+def test_me_laws_match_mpmath_out_to_5000(law):
+    # wherever the value is above 1e-300; worst seen 2.2e-13 (pdf, sf) and
+    # 2.6e-15 (log density), so 1e-12 and 1e-14
+    if law == "hypoexponential":
+        d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
+    else:
+        n = int(law[-1])
+        d = ph_new(np.eye(n)[0], np.eye(n, k=1) - np.eye(n), markov=False)
+    import mpmath
+
+    xs = np.concatenate([np.linspace(0.01, 50.0, 40), np.geomspace(50.0, 5000.0, 40)[1:]])
+    want = [_mp_pdf_sf(d, x) for x in xs]
+    pdf, sf = (np.array([float(w[k]) for w in want]) for k in (0, 1))
+    for f, v in ((ph_pdf, pdf), (ph_sf, sf)):
+        m = v > 1e-300
+        np.testing.assert_allclose(f(d, xs[m]), v[m], rtol=1e-12, atol=0.0, err_msg=f.__name__)
+    log_pdf = np.array([float(mpmath.log(w[0])) for w in want])
+    got = np.array([ph_loglik(d, [x]) for x in xs])
+    np.testing.assert_allclose(got, log_pdf, rtol=1e-14, atol=0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=markov_laws(), seed=st.integers(0, 2**32 - 1))
+def test_me_twin_of_a_markov_law_evaluates_as_the_law(d, seed):
+    # (pi S, S^-1 T S, S^-1 t) is the same law, but its T breaks the sign
+    # rules, so it takes the Taylor step; with S = I + 0.3 N(0, 1).  Its
+    # error grows as (cond(T) + q x) eps cond(S) (the squarings, and the
+    # solve for its closing vector): at most 11 times that in 300
+    # examples, 2.3e-8 relative at q x = 6.4e6 for stiff ones; so 32 times
+    p = d.dim
+    S = np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
+    cond_s = np.linalg.cond(S)
+    assume(cond_s <= 400.0)
+    twin = ph_new(d.pi @ S, np.linalg.solve(S, d.T @ S), markov=False,
+                  exit=np.linalg.solve(S, d.exit))
+    xs = np.linspace(0.0, 40.0 * ph_mean(d), 201)
+    bound = 32.0 * (np.linalg.cond(d.T) - d.T.diagonal().min() * xs) * 2.0**-53 * cond_s
+    for f in (ph_sf, ph_pdf):
+        want = f(d, xs)
+        m = want > 1e-200
+        err = np.abs(f(twin, xs[m]) / want[m] - 1.0)
+        assert (err <= bound[m]).all(), (f.__name__, np.max(err / bound[m]))
+    m = (ph_pdf(d, xs) > 1e-200) & (xs > 0.0)
+    if m.any():
+        assert abs(ph_loglik(twin, xs[m]) - ph_loglik(d, xs[m])) <= bound[m].sum()
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.37, 1.0, 5.0, 1e3])
