@@ -52,7 +52,7 @@ from .families import (
 from .iph import inverse_linear_rate, iph_new, iph_sf, path_new, product_integral, rate_function
 from .matfun import mat_exp
 from .modelio import load_model, model_mean, save_model
-from .phcore import erlang_rep, ph_new, ph_pdf, ph_quantile, ph_sample
+from .phcore import erlang_rep, ph_cdf, ph_new, ph_pdf, ph_quantile, ph_sample
 
 __all__ = ["RunConfig", "ingest_csv", "auto_shift", "run_fit", "eval_cmd", "main"]
 
@@ -349,6 +349,11 @@ def _oracle_checks() -> list[tuple[str, bool]]:
     x = math.pi / 10.0
     checks.append(("matrix-exponential density",
                    abs(ph_pdf(me, x) / (101.0 / 50.0 * math.exp(-x)) - 1.0) < 1e-10))
+    # Erlang(2, 1) written as an ME law: 1 - e^{-x}(1 + x) to fourth order at x = 1e-6
+    erl = ph_new([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], markov=False)
+    x = 1e-6
+    checks.append(("matrix-exponential low-tail cdf",
+                   abs(ph_cdf(erl, x) / (x**2 / 2.0 - x**3 / 3.0 + x**4 / 8.0) - 1.0) < 1e-10))
     return checks
 
 

@@ -72,8 +72,10 @@ class IntegrationError(IphError):
 
 class DegenerateConditioningError(IphError):
     """Conditioning a matrix-exponential (non-Markov) law on X > u where
-    P(X > u) is not above 1e-300.  A Markov law takes its conditioned
-    start from the anchored walk and has no such floor."""
+    P(X > u), read from the anchored walk's log scale, is not above
+    1e-300: past it the walk's start vector can be finite and wrong.  A
+    Markov law, whose walk keeps its relative accuracy, has no such
+    floor."""
 
 
 class UnsupportedRepresentationError(IphError):

@@ -401,9 +401,9 @@ def mp_conditional_excess(d: TransformedPH, x: float) -> TransformedPH:
     """Law of Y - x given Y > x: matrix-Pareto again, threshold-stable.
 
     The scale grows to beta + mu x and the start vector is reweighted by
-    (1 + mu x / beta)^T (``phcore._condition``): a Markov base has no
-    floor on its survival at x, an ME base needs it above 1e-300
-    (DegenerateConditioningError).
+    (1 + mu x / beta)^T, from the anchored walk for every base
+    (``phcore._condition``): a Markov base has no floor on its survival
+    at x, an ME base needs it above 1e-300 (DegenerateConditioningError).
     """
     _expect(d, ParetoExp, "mp_conditional_excess")
     x = float(x)

@@ -410,10 +410,10 @@ def test_main_oracle_check(capsys):
     assert main(["oracle-check"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 8
+    assert len(lines) >= 9
     assert all(ln.startswith("PASS") for ln in lines)
     assert {"PASS  exponential quantiles", "PASS  solver inverse primitive",
-            "PASS  matrix-exponential density"} <= set(lines)
+            "PASS  matrix-exponential density", "PASS  matrix-exponential low-tail cdf"} <= set(lines)
 
 
 def test_config_file_merge(tmp_path, capsys):
@@ -495,9 +495,10 @@ _CONDITIONING = """
 import sys
 from iphfit.families import ParetoExp, mp_conditional_excess, tph_new
 from iphfit.iph import iph_new, iph_overshoot, power_rate
-from iphfit.phcore import erlang_rep
+from iphfit.phcore import erlang_rep, ph_new
 
 mp_conditional_excess(tph_new(erlang_rep(3, 2.0), ParetoExp()), 50.0)
+mp_conditional_excess(tph_new(ph_new([1.0], [[-5.0]], markov=False), ParetoExp()), 50.0)
 iph_overshoot(iph_new(erlang_rep(3, 1.0), power_rate(2.0)), 4.0)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
@@ -505,7 +506,9 @@ assert not loaded, loaded
 
 
 def test_conditioning_a_markov_law_loads_no_scipy():
-    # a Markov law's conditioned start vector comes from the anchored walk
+    # a conditioned start vector comes from the anchored walk, which takes
+    # the Markov step, and no SciPy, for every T that passes the sign rules:
+    # a Markov law's, and Exp(5)'s written with markov=False
     src = os.path.dirname(os.path.dirname(iphfit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _CONDITIONING], capture_output=True, text=True,

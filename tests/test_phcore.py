@@ -17,8 +17,10 @@ from iphfit.errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
+import iphfit.matfun as matfun
 import iphfit.phcore as phcore
 from iphfit.emfit import ph_loglik
+from iphfit.families import ParetoExp, mp_conditional_excess, tph_new
 from iphfit.phcore import (
     erlang_rep,
     gen_erlang_rep,
@@ -388,10 +390,35 @@ def test_me_mixture_density_is_weighted_sum():
         assert np.max(np.abs(f(mix, xs) - want)) < 1e-12
 
 
-def test_me_cdf_is_the_complement_of_its_survival():
-    d = me_example()
-    xs = np.linspace(0.0, 10.0, 101)
-    np.testing.assert_allclose(ph_cdf(d, xs) + ph_sf(d, xs), 1.0, rtol=0.0, atol=2.0**-52)
+def _mp_cdf(d, x, dps=50):
+    """pi~ e^{T~x} e_a for T~ = [[T, t], [0, 0]], from mpmath's expm, as a float."""
+    import mpmath
+
+    p = d.dim
+    T = np.zeros((p + 1, p + 1))
+    T[:p, :p], T[:p, p] = d.T, d.exit
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(T.tolist()) * x)
+        return float(sum(d.pi[i] * E[i, p] for i in range(p)))
+
+
+@pytest.mark.parametrize("law", ["companion", "erlang2", "jordan3"])
+def test_me_cdf_matches_mpmath(law):
+    # the corner entry of the augmented chain, not 1 - sf, so the low tail
+    # keeps its digits: 5e-19 for Erlang(2, 1) at 1e-9.  Worst seen 9.5e-14
+    # (the companion fixture), so 1e-12 wherever the value is above 1e-300
+    if law == "companion":
+        d = me_example()
+    else:
+        n = int(law[-1])
+        d = ph_new(np.eye(n)[0], np.eye(n, k=1) - np.eye(n), markov=False)
+    xs = np.concatenate([[1e-9, 1e-6, 1e-3], np.linspace(0.0, 30.0, 301)[1:]])
+    want = np.array([_mp_cdf(d, x) for x in xs])
+    m = want > 1e-300
+    np.testing.assert_allclose(ph_cdf(d, xs[m]), want[m], rtol=1e-12, atol=0.0)
+    assert ph_cdf(d, 0.0) == 0.0
+    grid = np.linspace(0.0, 10.0, 101)
+    np.testing.assert_allclose(ph_cdf(d, grid) + ph_sf(d, grid), 1.0, rtol=0.0, atol=1e-12)
     assert isinstance(ph_cdf(d, 1.3), float)
 
 
@@ -509,12 +536,25 @@ def _tail_levels(n):
                            1.0 - np.geomspace(0.5, 1e-12, n - n // 2)])
 
 
+# ME laws: the companion fixture and Erlang(2, 1) written with markov=False.
+# The fixture's oscillating density costs the solver 2.5 points a level,
+# over the bound of test_quantile_evaluates_few_points_per_level, so they
+# have a list of their own
+ME_QUANTILE_LAWS = {
+    "me_companion": me_example,
+    "me_erlang": lambda: ph_new([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], markov=False),
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS))
+@pytest.mark.parametrize("law", sorted(QUANTILE_LAWS) + sorted(ME_QUANTILE_LAWS))
 def test_quantile_brackets_its_level(law):
-    d = QUANTILE_LAWS[law]()
+    # an ME law on its low tail, the levels solved on log ph_cdf
+    d = {**QUANTILE_LAWS, **ME_QUANTILE_LAWS}[law]()
     rel_tol = 1e-10
     qs = _tail_levels(60)
+    if law in ME_QUANTILE_LAWS:
+        qs = qs[qs < 0.5]
     xs = ph_quantile(d, qs, rel_tol=rel_tol)
     below, above = xs * (1.0 - 2.0 * rel_tol), xs * (1.0 + 2.0 * rel_tol)
     low = qs < 0.5
@@ -904,20 +944,24 @@ def _mp_pdf_sf(d, x, dps=50):
 
 def test_me_evaluation_takes_no_matrix_exponential(monkeypatch):
     # a defective Jordan block and the companion fixture take the anchored
-    # kernel, with no matrix exponential and no eigenvectors
+    # kernel, with no matrix exponential and no eigenvectors, for the
+    # cdf and conditioning too
     laws = [ph_new([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], markov=False), me_example()]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ME evaluation called a matrix exponential or an eigensolver")
 
-    monkeypatch.setattr(phcore, "mat_exp", forbidden)
+    monkeypatch.setattr(matfun, "mat_exp", forbidden)
+    monkeypatch.setattr(sla, "expm", forbidden)
     monkeypatch.setattr(np.linalg, "eig", forbidden)
     monkeypatch.setattr(np.linalg, "cond", forbidden)
     xs = np.linspace(0.0, 40.0, 2001)[1:]
     for d in laws:
-        for f in (ph_pdf, ph_sf):
+        for f in (ph_pdf, ph_sf, ph_cdf):
             assert np.isfinite(f(d, xs)).all()
         assert math.isfinite(ph_loglik(d, xs))
+        excess = mp_conditional_excess(tph_new(d, ParetoExp()), 3.0)
+        assert np.isfinite(excess.base.pi).all()
     np.testing.assert_allclose(ph_pdf(laws[0], xs), xs * np.exp(-xs), rtol=1e-12, atol=0.0)
 
 
@@ -1003,6 +1047,34 @@ def test_conditioning_an_erlang_law_past_underflow(u, rel):
     alpha = phcore._condition(erlang_rep(3, 1.0), u, f"u = {u}").pi
     want = np.array([1.0, u, u * u / 2])
     np.testing.assert_allclose(alpha, want / want.sum(), rtol=rel, atol=0.0)
+
+
+def _mp_conditioned(d, u, dps=50):
+    """pi e^{Tu} / (pi e^{Tu} (-T)^{-1} t) from mpmath's expm, as floats."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        row = mpmath.matrix([d.pi.tolist()]) * mpmath.expm(mpmath.matrix(d.T.tolist()) * u)
+        sf = (row * mpmath.matrix(d.close.tolist()))[0]
+        return np.array([float(row[0, j] / sf) for j in range(d.dim)])
+
+
+@pytest.mark.parametrize("u", [0.3, 3.0, 30.0])
+@pytest.mark.parametrize("law", ["companion", "erlang3", "hypoexponential"])
+def test_me_conditioning_matches_mpmath(law, u):
+    # the start vector of an ME law comes from the anchored walk; its
+    # entries are signed, so the error is taken against the largest.
+    # Worst seen 1.3e-14 (the companion fixture at u = 30), so 1e-12
+    if law == "companion":
+        d = me_example()
+    elif law == "erlang3":
+        d = ph_new(np.eye(3)[0], np.eye(3, k=1) - np.eye(3), markov=False)
+    else:
+        d = ph_new([2.0, -1.0], np.diag([-1.0, -2.0]), markov=False)
+    cond = phcore._condition(d, u, f"u = {u}")
+    want = _mp_conditioned(d, u)
+    assert not cond.markov
+    assert np.max(np.abs(cond.pi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
